@@ -53,13 +53,13 @@ golden:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -run '^$$' -bench 'BenchmarkSimParScaleOut$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
+	$(GO) test -run '^$$' -bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
 		./internal/cpu ./internal/mmu . > BENCH_hotloop.json
 
 # Hot-loop perf trajectory: re-run the steady-state Step/Translate
 # benchmarks and refresh the checked-in record (see docs/PERFORMANCE.md).
 bench-hotloop:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimParScaleOut$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
+	$(GO) test -run '^$$' -bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
 		./internal/cpu ./internal/mmu . > BENCH_hotloop.json
 
 # Bench regression gate: re-run the hot-loop benchmarks into a scratch
@@ -68,7 +68,7 @@ bench-hotloop:
 # `make bench-hotloop` after a deliberate perf change.
 bench-check:
 	@tmp=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench 'BenchmarkSimParScaleOut$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
+	$(GO) test -run '^$$' -bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
 		./internal/cpu ./internal/mmu . > $$tmp && \
 	$(GO) run ./cmd/benchcheck BENCH_hotloop.json $$tmp; \
 	st=$$?; rm -f $$tmp; exit $$st

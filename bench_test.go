@@ -399,28 +399,25 @@ func BenchmarkSchedulerSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkSimParScaleOut measures the conservative parallel engine's
-// scale-out throughput in simulated instructions per wall second: the same
-// multi-board scale-out workload, built with Params.SimPar, at growing
-// board counts. Virtual-time results are byte-identical to the sequential
-// engine (TestSimParDifferentialScaleOut); what should grow with boards —
-// on a multi-core host — is how fast the simulator chews through board
-// instructions, because each board's compute windows run as concurrent
-// phase members. On a single-core host the numbers degenerate to the
-// sequential engine's throughput plus a small phase-bookkeeping tax.
-func BenchmarkSimParScaleOut(b *testing.B) {
+// BenchmarkScaleOutThroughput measures the simulator's scale-out
+// throughput in simulated instructions per wall second: the same
+// multi-board scale-out workload at growing board counts, on the default
+// (run-ahead) engine. Virtual-time results are byte-identical to the
+// reference engine (TestSimParDifferentialScaleOut); what the run-ahead
+// phases buy is how fast the simulator chews through board instructions
+// once several boards compute at the same virtual time, and on a
+// multi-core host each board's compute windows also run concurrently.
+func BenchmarkScaleOutThroughput(b *testing.B) {
 	for _, boards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("boards=%d", boards), func(b *testing.B) {
 			var instr, phases uint64
 			for i := 0; i < b.N; i++ {
-				p := platform.DefaultParams()
-				p.SimPar = true
 				var snap sim.Snapshot
 				obs := &sim.Observer{
 					OnReport: func(r sim.Report) { snap = r.Metrics },
 					OnSimPar: func(sp sim.SimParStats) { phases += sp.Phases },
 				}
-				if _, _, err := workloads.RunScaleOut(8, 12, boards, "", &p, obs); err != nil {
+				if _, _, err := workloads.RunScaleOut(8, 12, boards, "", nil, obs); err != nil {
 					b.Fatal(err)
 				}
 				for _, c := range snap.Counters {

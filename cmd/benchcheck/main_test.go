@@ -70,11 +70,11 @@ func TestRegressionFails(t *testing.T) {
 func TestAllocGate(t *testing.T) {
 	dir := t.TempDir()
 	base := capture(t, filepath.Join(dir, "base.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "allocs/op": 3598},
-		"BenchmarkCoreStep/host":           {"ns/op": 70.0, "allocs/op": 2},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "allocs/op": 3598},
+		"BenchmarkCoreStep/host":               {"ns/op": 70.0, "allocs/op": 2},
 	})
 	cur := capture(t, filepath.Join(dir, "cur.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "allocs/op": 3598},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "allocs/op": 3598},
 		// +400% but only +8 absolute: inside allocSlack, must pass.
 		"BenchmarkCoreStep/host": {"ns/op": 70.0, "allocs/op": 10},
 	})
@@ -83,8 +83,8 @@ func TestAllocGate(t *testing.T) {
 	}
 	cur = capture(t, filepath.Join(dir, "cur2.json"), map[string]bench{
 		// +39% and far beyond the absolute slack: must fail.
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "allocs/op": 5000},
-		"BenchmarkCoreStep/host":           {"ns/op": 70.0, "allocs/op": 2},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "allocs/op": 5000},
+		"BenchmarkCoreStep/host":               {"ns/op": 70.0, "allocs/op": 2},
 	})
 	if code := run([]string{base, cur}); code != 1 {
 		t.Errorf("real alloc regression: exit = %d, want 1", code)
@@ -96,16 +96,16 @@ func TestAllocGate(t *testing.T) {
 func TestThroughputGate(t *testing.T) {
 	dir := t.TempDir()
 	base := capture(t, filepath.Join(dir, "base.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "sim-instr/s": 6.4e6},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "sim-instr/s": 6.4e6},
 	})
 	cur := capture(t, filepath.Join(dir, "cur.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "sim-instr/s": 8.0e6}, // faster: fine
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "sim-instr/s": 8.0e6}, // faster: fine
 	})
 	if code := run([]string{base, cur}); code != 0 {
 		t.Errorf("throughput gain: exit = %d, want 0", code)
 	}
 	cur = capture(t, filepath.Join(dir, "cur2.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "sim-instr/s": 4.0e6}, // -37.5%
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "sim-instr/s": 4.0e6}, // -37.5%
 	})
 	if code := run([]string{base, cur}); code != 1 {
 		t.Errorf("throughput drop: exit = %d, want 1", code)
@@ -117,10 +117,10 @@ func TestThroughputGate(t *testing.T) {
 func TestUngatedUnitsNeverFail(t *testing.T) {
 	dir := t.TempDir()
 	base := capture(t, filepath.Join(dir, "base.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "B/op": 1000, "phases/Minstr": 100},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "B/op": 1000, "phases/Minstr": 100},
 	})
 	cur := capture(t, filepath.Join(dir, "cur.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "B/op": 90000, "phases/Minstr": 9000},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "B/op": 90000, "phases/Minstr": 9000},
 	})
 	if code := run([]string{base, cur}); code != 0 {
 		t.Errorf("ungated unit swing: exit = %d, want 0", code)
@@ -132,10 +132,10 @@ func TestUngatedUnitsNeverFail(t *testing.T) {
 func TestMetricDroppedFromCurrentIsSkipped(t *testing.T) {
 	dir := t.TempDir()
 	base := capture(t, filepath.Join(dir, "base.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": {"ns/op": 70.0, "sim-instr/s": 6.4e6},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "sim-instr/s": 6.4e6},
 	})
 	cur := capture(t, filepath.Join(dir, "cur.json"), map[string]bench{
-		"BenchmarkSimParScaleOut/boards=4": nsOnly(70.0),
+		"BenchmarkScaleOutThroughput/boards=4": nsOnly(70.0),
 	})
 	if code := run([]string{base, cur}); code != 0 {
 		t.Errorf("exit = %d, want 0", code)
@@ -182,7 +182,7 @@ func TestScientificNotationParses(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sci.json")
 	lines := []string{
-		`{"Action":"output","Package":"p","Output":"BenchmarkSimParScaleOut/boards=1-8         \t"}`,
+		`{"Action":"output","Package":"p","Output":"BenchmarkScaleOutThroughput/boards=1-8         \t"}`,
 		`{"Action":"output","Package":"p","Output":"265\t   4402332 ns/op\t  1.77e+07 sim-instr/s\t 2870 allocs/op\n"}`,
 	}
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
@@ -192,7 +192,7 @@ func TestScientificNotationParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := got["BenchmarkSimParScaleOut/boards=1"]
+	m := got["BenchmarkScaleOutThroughput/boards=1"]
 	if m == nil {
 		t.Fatalf("benchmark name not found in %v", got)
 	}

@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	boards := fs.Int("boards", 1, "number of NxP boards per simulated machine (see docs/SCALING.md)")
 	boardPolicy := fs.String("board-policy", "", "board placement policy: round-robin, least-loaded, or affinity (default round-robin)")
 	boardISA := fs.String("board-isa", "", "comma-separated board core families, entry i → board i (registered backends; empty entries default to nxp; see docs/ISAS.md)")
-	simPar := fs.Bool("sim-par", false, "conservative parallel intra-simulation execution across boards (results are byte-identical either way; see docs/SCALING.md)")
 	arrival := fs.String("arrival", "", "traffic arrival shape: poisson or burst (default poisson; see docs/TRAFFIC.md)")
 	rate := fs.Float64("rate", 0, "traffic offered load in tasks/s (0 = sweep a grid around the calibrated capacity)")
 	duration := fs.Duration("duration", 8*time.Millisecond, "traffic admission window in virtual time")
@@ -166,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	o.Boards = *boards
 	o.BoardPolicy = *boardPolicy
 	o.BoardISAs = boardISAs
-	o.SimPar = *simPar
 	if !*quiet {
 		o.Progress = func(e runner.Event) { progress(stderr, e) }
 	}

@@ -257,10 +257,10 @@ func (s *System) Now() sim.Time { return s.Machine.Env.Now() }
 // every platform component registered into, plus the recorded event trace.
 func (s *System) Report() sim.Report { return s.Machine.Env.Report() }
 
-// SimParStats returns the conservative parallel engine's bookkeeping (all
-// zero when sim-par is off). Deliberately separate from Report: the Report
-// is byte-identical between sequential and parallel runs, while these
-// stats describe how the parallel engine got there.
+// SimParStats returns the run-ahead engine's bookkeeping (all zero when it
+// never armed). Deliberately separate from Report: the Report is
+// byte-identical between the fast and the reference engine, while these
+// stats describe how the fast engine got there.
 func (s *System) SimParStats() sim.SimParStats { return s.Machine.Env.SimParStats() }
 
 // Console returns the program's console output.

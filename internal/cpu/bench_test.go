@@ -203,7 +203,7 @@ func TestBenchRigUsesPredecode(t *testing.T) {
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
-	hits, fills, _ := rig.core.PredecodeStats()
+	hits, fills, _ := rig.core.SuperblockStats()
 	if fills == 0 || hits < 90 {
 		t.Errorf("predecode hits=%d fills=%d; benchmark would not measure the fast path", hits, fills)
 	}

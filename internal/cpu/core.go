@@ -79,16 +79,11 @@ type Config struct {
 	// set) at the current PC — the fault-injection hook for exercising
 	// stale-TLB recovery paths.
 	SpuriousFault func() bool
-	// NoPredecode disables the superblock cache for this core (the name
-	// survives from the predecode cache it replaced). The
-	// FLICKSIM_NOPREDECODE environment variable disables it process-wide
-	// (see docs/PERFORMANCE.md); results are byte-identical either way.
-	NoPredecode bool
 	// PhaseDomain, when nonzero, brackets every Call window with
 	// Proc.BeginCompute(PhaseDomain)/EndCompute, making the core eligible
-	// for conservative parallel phases (see internal/sim/domain.go and
-	// docs/SCALING.md). The platform sets it to 1+board index on board
-	// cores only when the machine was built with Params.SimPar.
+	// for run-ahead phases (see internal/sim/domain.go and
+	// docs/SCALING.md). The platform sets it to 1+board index on every
+	// board core; host cores leave it zero.
 	PhaseDomain int
 	// PhaseLocal reports whether a physical address belongs to the core's
 	// own domain (its board-local DDR/BRAM). While the core runs inside a
@@ -103,7 +98,7 @@ type Core struct {
 	cfg    Config
 	codec  isa.Backend
 	icache *icache
-	pd     *sbCache // nil when disabled (Config.NoPredecode / escape hatch)
+	pd     *sbCache // nil under the reference engine (FLICKSIM_NOPREDECODE)
 
 	ctx    *Context
 	halted bool
@@ -145,7 +140,7 @@ func New(cfg Config) *Core {
 	if cfg.ICacheLines > 0 {
 		c.icache = newICache(cfg.ICacheLines)
 	}
-	if !cfg.NoPredecode && !sim.FastPathsDisabled() {
+	if !sim.FastPathsDisabled() {
 		c.pd = newSBCache(c.codec)
 	}
 	return c
@@ -193,30 +188,29 @@ func (c *Core) SetFaultHandler(h FaultHandler) { c.cfg.Fault = h }
 func (c *Core) SetSysHandler(h SysHandler) { c.cfg.Sys = h }
 
 // InvalidateICache drops all cached instruction lines (used by the loader
-// after writing code pages) and, with them, the predecode cache.
+// after writing code pages) and, with them, the superblock cache.
 func (c *Core) InvalidateICache() {
 	if c.icache != nil {
 		c.icache.flush()
 	}
-	c.InvalidatePredecode()
+	c.InvalidateSuperblocks()
 }
 
-// InvalidatePredecode drops every cached superblock. Content changes
+// InvalidateSuperblocks drops every cached superblock. Content changes
 // are caught automatically by the code-generation watch; this explicit
 // hook exists for the events that deserve a conservative drop regardless
 // — I-cache invalidation and TLB shootdown fan-out.
-func (c *Core) InvalidatePredecode() {
+func (c *Core) InvalidateSuperblocks() {
 	if c.pd != nil {
 		c.pd.flush()
 	}
 }
 
-// PredecodeStats reports the superblock cache's lifetime hit/fill/flush
-// counts (zeros when disabled; the name survives from the PR 5
-// per-instruction predecode cache this grew out of). Test-only
-// visibility: deliberately not registered as metrics so the metrics JSON
-// stays identical with the cache on or off.
-func (c *Core) PredecodeStats() (hits, fills, flushes uint64) {
+// SuperblockStats reports the superblock cache's lifetime hit/fill/flush
+// counts (zeros under the reference engine). Test-only visibility:
+// deliberately not registered as metrics so the metrics JSON stays
+// identical with the cache on or off.
+func (c *Core) SuperblockStats() (hits, fills, flushes uint64) {
 	if c.pd == nil {
 		return 0, 0, 0
 	}
@@ -234,12 +228,12 @@ func (c *Core) execOK(f paging.Flags) bool {
 	return f.NX == c.cfg.ExecNX
 }
 
-// phaseGuard keeps conservative parallel phases honest: a core running as
-// a phase member may only touch physical memory its own domain owns. Any
-// other address — host DRAM, another board's BAR window, MMIO registers —
-// parks the core back to sequential execution first, so the access is
-// ordered against the rest of the machine exactly as it would be without
-// sim-par. Outside a phase this is one predicate call at most.
+// phaseGuard keeps run-ahead phases honest: a core running as a phase
+// member may only touch physical memory its own domain owns. Any other
+// address — host DRAM, another board's BAR window, MMIO registers — parks
+// the core back to sequential execution first, so the access is ordered
+// against the rest of the machine exactly as it would be on the reference
+// engine. Outside a phase this is one predicate call at most.
 func (c *Core) phaseGuard(p *sim.Proc, pa uint64) {
 	if p.InPhase() && (c.cfg.PhaseLocal == nil || !c.cfg.PhaseLocal(pa)) {
 		p.PhaseSync()

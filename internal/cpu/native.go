@@ -52,7 +52,7 @@ func (c *Core) Call(p *sim.Proc, target uint64, args ...uint64) (uint64, error) 
 	}
 	if c.cfg.PhaseDomain > 0 {
 		// The interpreter loop below is this core's compute window: while
-		// it runs, the core is eligible for conservative parallel phases.
+		// it runs, the core is eligible for run-ahead phases.
 		// EndCompute parks the process if a phase is still open when the
 		// call returns, so the caller's glue always runs sequentially.
 		p.BeginCompute(c.cfg.PhaseDomain)

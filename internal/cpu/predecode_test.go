@@ -92,7 +92,7 @@ func TestPredecodeInvalidatedByLoaderWrite(t *testing.T) {
 		t.Errorf("f returned %d after the loader write, want 2 (stale predecode)", got[2])
 	}
 	if !sim.FastPathsDisabled() {
-		hits, fills, flushes := m.host.PredecodeStats()
+		hits, fills, flushes := m.host.SuperblockStats()
 		if fills == 0 || hits == 0 {
 			t.Errorf("predecode hits=%d fills=%d: the test never exercised the cache", hits, fills)
 		}
@@ -146,7 +146,7 @@ func TestPredecodeInvalidatedByDMAWrite(t *testing.T) {
 		t.Errorf("f returned %d after the DMA write, want 2 (stale predecode)", after)
 	}
 	if !sim.FastPathsDisabled() {
-		if _, _, flushes := m.host.PredecodeStats(); flushes == 0 {
+		if _, _, flushes := m.host.SuperblockStats(); flushes == 0 {
 			t.Error("DMA code write did not flush the predecode cache")
 		}
 	}
@@ -265,7 +265,7 @@ func TestMidBlockInvalidationLoaderWrite(t *testing.T) {
 		t.Errorf("loop added %d to a2 after the mid-block write, want 8 (stale superblock)", a2[2])
 	}
 	if !sim.FastPathsDisabled() {
-		hits, fills, flushes := m.host.PredecodeStats()
+		hits, fills, flushes := m.host.SuperblockStats()
 		if fills == 0 || hits == 0 {
 			t.Errorf("superblock hits=%d fills=%d: the loop never executed from the cache", hits, fills)
 		}
@@ -321,14 +321,14 @@ func TestMidBlockInvalidationDMAWrite(t *testing.T) {
 		t.Errorf("loop added %d to a2 after the mid-block DMA write, want 8 (stale superblock)", after)
 	}
 	if !sim.FastPathsDisabled() {
-		if _, _, flushes := m.host.PredecodeStats(); flushes == 0 {
+		if _, _, flushes := m.host.SuperblockStats(); flushes == 0 {
 			t.Error("mid-block DMA write did not flush the superblock cache")
 		}
 	}
 }
 
 // TestShootdownDropsChainedBlock pins the explicit-drop path at block
-// granularity: InvalidatePredecode — what the TLB shootdown fan-out and
+// granularity: InvalidateSuperblocks — what the TLB shootdown fan-out and
 // InvalidateICache call on every core (reach across boards 1..3 is
 // covered by the platform suite) — must drop an already-chained hot
 // block, forcing a rebuild on the next execution.
@@ -346,10 +346,10 @@ func TestShootdownDropsChainedBlock(t *testing.T) {
 				return
 			}
 		}
-		_, fillsBefore, flushesBefore := m.host.PredecodeStats()
-		m.host.InvalidatePredecode()
-		if _, _, flushes := m.host.PredecodeStats(); flushes != flushesBefore+1 {
-			t.Errorf("flushes %d -> %d after InvalidatePredecode, want +1", flushesBefore, flushes)
+		_, fillsBefore, flushesBefore := m.host.SuperblockStats()
+		m.host.InvalidateSuperblocks()
+		if _, _, flushes := m.host.SuperblockStats(); flushes != flushesBefore+1 {
+			t.Errorf("flushes %d -> %d after InvalidateSuperblocks, want +1", flushesBefore, flushes)
 		}
 		var a2 uint64
 		if _, a2, runErr = midRun(m, p, fVA); runErr != nil {
@@ -358,7 +358,7 @@ func TestShootdownDropsChainedBlock(t *testing.T) {
 		if a2 != 4 {
 			t.Errorf("loop added %d to a2 after the drop, want 4", a2)
 		}
-		if _, fills, _ := m.host.PredecodeStats(); fills <= fillsBefore {
+		if _, fills, _ := m.host.SuperblockStats(); fills <= fillsBefore {
 			t.Errorf("fills %d -> %d after the drop; the chained block was not rebuilt", fillsBefore, fills)
 		}
 	})
@@ -393,7 +393,7 @@ func TestCmpDenseLoopHitRate(t *testing.T) {
 	if stepErr != nil {
 		t.Fatal(stepErr)
 	}
-	hits, fills, flushes := rig.core.PredecodeStats()
+	hits, fills, flushes := rig.core.SuperblockStats()
 	if fills == 0 {
 		t.Fatal("dense cmp loop never filled the superblock cache")
 	}
@@ -508,7 +508,7 @@ func TestPredecodePhysicallyTaggedAcrossSetTables(t *testing.T) {
 		t.Errorf("f returned %d under tables2, want 2 (predecode served a stale virtual mapping)", got[2])
 	}
 	if !sim.FastPathsDisabled() {
-		hits, fills, flushes := core.PredecodeStats()
+		hits, fills, flushes := core.SuperblockStats()
 		if fills == 0 || hits == 0 {
 			t.Errorf("predecode hits=%d fills=%d: the test never exercised the cache", hits, fills)
 		}

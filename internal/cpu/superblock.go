@@ -92,7 +92,7 @@ type pdSrc struct {
 
 // sbCache is the per-core, physically-tagged, direct-mapped block cache.
 // The Core field keeping the historical name pd, and the hit/fill/flush
-// counters keeping their PredecodeStats meaning, is deliberate: the
+// counters keeping their SuperblockStats meaning, is deliberate: the
 // invalidation contract (and its test suite) carries over unchanged.
 type sbCache struct {
 	entries [sbEntries]*superblock

@@ -112,7 +112,7 @@ func TestSuperblockIndexAliasing(t *testing.T) {
 	// The collision itself must be visible as eviction churn: every
 	// alternation rebuilds the slot, so fills grow with the iteration
 	// count instead of saturating at two.
-	_, fills, flushes := core.PredecodeStats()
+	_, fills, flushes := core.SuperblockStats()
 	if fills < 50 {
 		t.Errorf("fills=%d; colliding heads should evict each other every alternation", fills)
 	}

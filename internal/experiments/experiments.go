@@ -74,12 +74,6 @@ type Options struct {
 	// "nxp"). Nil leaves machines byte-identical to a build that never
 	// heard of board ISA selection.
 	BoardISAs []string
-	// SimPar builds every simulated machine with the conservative
-	// parallel intra-simulation engine (platform.Params.SimPar): board
-	// compute windows run concurrently on real OS threads while all
-	// artifacts stay byte-identical to the sequential engine. See
-	// docs/SCALING.md; FLICKSIM_NOSIMPAR=1 forces it back off.
-	SimPar bool
 
 	// Jobs is the scheduler's worker count: how many independent simulated
 	// machines run concurrently. 0 or 1 runs serially. Virtual-time
@@ -202,11 +196,10 @@ func (o Options) withDefaults() (Options, error) {
 // from (FaultSeed, position), assigned at graph-construction time, so
 // results are reproducible for any Jobs value.
 func (o Options) machineParams(job uint64) *platform.Params {
-	if o.Faults == "" && o.Boards <= 1 && o.BoardPolicy == "" && o.BoardISAs == nil && !o.SimPar {
+	if o.Faults == "" && o.Boards <= 1 && o.BoardPolicy == "" && o.BoardISAs == nil {
 		return nil
 	}
 	p := platform.DefaultParams()
-	p.SimPar = o.SimPar
 	if o.Faults != "" {
 		p.Faults = o.Faults
 		p.FaultSeed = runner.DeriveSeed(o.FaultSeed, job)

@@ -120,24 +120,6 @@ type Params struct {
 	// docs/TRAFFIC.md). Off by default so baseline metrics snapshots
 	// carry no new keys.
 	TrafficMetrics bool
-	// SimPar enables conservative parallel intra-simulation execution:
-	// board cores run their compute windows concurrently on real OS
-	// threads, bounded by the PCIe link-latency lookahead window, with
-	// every artifact byte-identical to the sequential engine (see
-	// docs/SCALING.md). Off by default; FLICKSIM_NOSIMPAR=1 and
-	// FLICKSIM_NOPREDECODE=1 both force it back off, and machines with a
-	// cpu.spurious fault rule stay sequential (the injected ghost faults
-	// draw from one PRNG stream shared across cores, which only has a
-	// deterministic draw order under sequential stepping).
-	SimPar bool
-	// SimParMetrics registers the parallel engine's bookkeeping as
-	// gauges (simpar.phases, simpar.members, simpar.singleton_phases,
-	// simpar.parked_emits) over Env.SimParStats. Off by default, exactly
-	// like TrafficMetrics: the paper-artifact metrics snapshot must carry
-	// no new keys, and a sim-par run's snapshot must stay byte-identical
-	// to a sequential run's — these gauges read nonzero only under the
-	// parallel engine, so they are strictly opt-in diagnostics.
-	SimParMetrics bool
 }
 
 // DefaultParams returns the calibrated Table I machine.
@@ -167,13 +149,13 @@ func DefaultParams() Params {
 	}
 }
 
-// SimParLookahead is the conservative lookahead window the parallel
-// engine uses when Params.SimPar is set: the minimum virtual time any
-// cross-board influence needs to reach another board's local state. Every
-// cross-domain path in this machine crosses the PCIe link, and the
-// cheapest full crossing is a host load from board memory — one 8-byte
-// link read round-trip plus the DRAM device latency behind it (the
-// paper's ~825 ns host-load-from-board figure on the default link).
+// SimParLookahead is the conservative lookahead window of the run-ahead
+// engine: the minimum virtual time any cross-board influence needs to
+// reach another board's local state. Every cross-domain path in this
+// machine crosses the PCIe link, and the cheapest full crossing is a host
+// load from board memory — one 8-byte link read round-trip plus the DRAM
+// device latency behind it (the paper's ~825 ns host-load-from-board
+// figure on the default link).
 func (p *Params) SimParLookahead() sim.Duration {
 	return p.Link.ReadLatency(8) + p.HostDRAMDevice
 }
@@ -203,7 +185,7 @@ type Board struct {
 
 // coreTLBSet records the TLBs belonging to one core, in build order — the
 // fan-out set a TLB shootdown IPI to that core must flush. The core itself
-// rides along so the shootdown can also drop its predecode cache.
+// rides along so the shootdown can also drop its superblock cache.
 type coreTLBSet struct {
 	name string
 	core *cpu.Core
@@ -251,7 +233,6 @@ type Machine struct {
 
 	boardISAs []isa.ISA // each board's primary core family
 	tagged    bool      // PTE-tagged execution (3+ distinct core ISAs)
-	simPar    bool      // conservative parallel engine armed for this machine
 }
 
 // BoardISA returns the primary core family of one board.
@@ -361,13 +342,6 @@ func New(params Params) (*Machine, error) {
 		}
 	}
 
-	// Conservative parallel execution: decided before the cores are built
-	// (core configs carry the domain tags) and armed after. The escape
-	// hatches and the shared cpu.spurious PRNG stream all force the
-	// machine back to the plain sequential engine; see Params.SimPar.
-	m.simPar = params.SimPar && !sim.SimParDisabled() && !sim.FastPathsDisabled() &&
-		!m.Injector.HasRule("cpu", "spurious")
-
 	m.HostView = mem.NewAddressSpace("host-view")
 	m.NxPView = mem.NewAddressSpace("nxp-view")
 	m.HostDRAM = mem.NewRAM("host-dram", params.HostDRAM)
@@ -440,19 +414,13 @@ func New(params Params) (*Machine, error) {
 
 	m.Natives = cpu.NewNativeTable()
 	m.buildCores()
-	if m.simPar {
+	// Conservative run-ahead (internal/sim/domain.go), one domain per
+	// board; EnableSimPar itself refuses under FLICKSIM_NOPREDECODE. A
+	// cpu.spurious rule keeps the machine on sequential dispatch: its ghost
+	// faults draw from one PRNG stream shared by all cores, whose draw
+	// order is only deterministic under sequential stepping.
+	if !m.Injector.HasRule("cpu", "spurious") {
 		m.Env.EnableSimPar(nBoards, params.SimParLookahead())
-	}
-	if params.SimParMetrics {
-		// Opt-in diagnostics (see Params.SimParMetrics): gauge-based, so
-		// the engine's hot paths don't know these exist, and absent from
-		// every default snapshot.
-		env := m.Env
-		reg0 := env.Metrics()
-		reg0.Gauge("simpar.phases", func() uint64 { return env.SimParStats().Phases })
-		reg0.Gauge("simpar.members", func() uint64 { return env.SimParStats().Members })
-		reg0.Gauge("simpar.singleton_phases", func() uint64 { return env.SimParStats().SingletonPhases })
-		reg0.Gauge("simpar.parked_emits", func() uint64 { return env.SimParStats().ParkedEmits })
 	}
 
 	// Publish every core's counters (and those of its MMUs and TLBs) into
@@ -541,11 +509,11 @@ func (m *Machine) ShootdownTargets() []kernel.ShootdownTarget {
 					t.FlushPage(va)
 				}
 				// A shootdown means a mapping or its permissions changed;
-				// the predecode cache is physically tagged and re-checked
+				// the superblock cache is physically tagged and re-checked
 				// through the MMU each step, but dropping it here keeps
 				// the invalidation contract conservative (hardware flushes
 				// its decode pipeline on TLB invalidation too).
-				core.InvalidatePredecode()
+				core.InvalidateSuperblocks()
 			},
 		})
 	}
@@ -640,7 +608,7 @@ func (m *Machine) buildCores() {
 		ICacheLines:   p.NxPICacheLines,
 		Natives:       m.Natives,
 		SpuriousFault: spurious,
-		PhaseDomain:   m.phaseDomain(0),
+		PhaseDomain:   phaseDomain(0),
 		PhaseLocal:    m.phaseLocal(b0),
 	})
 	b0.NxP = m.NxP
@@ -670,7 +638,7 @@ func (m *Machine) buildCores() {
 			ICacheLines:   p.NxPICacheLines,
 			Natives:       m.Natives,
 			SpuriousFault: spurious,
-			PhaseDomain:   m.phaseDomain(0),
+			PhaseDomain:   phaseDomain(0),
 			PhaseLocal:    m.phaseLocal(b0),
 		})
 		m.coreTLBSets = append(m.coreTLBSets,
@@ -701,7 +669,7 @@ func (m *Machine) buildCores() {
 			ICacheLines:   p.NxPICacheLines,
 			Natives:       m.Natives,
 			SpuriousFault: spurious,
-			PhaseDomain:   m.phaseDomain(b.Index),
+			PhaseDomain:   phaseDomain(b.Index),
 			PhaseLocal:    m.phaseLocal(b),
 		})
 		m.coreTLBSets = append(m.coreTLBSets,
@@ -709,17 +677,12 @@ func (m *Machine) buildCores() {
 	}
 }
 
-// phaseDomain is the conservative-parallel domain tag for a board's cores
-// (1 + board index; 0 — never eligible — when sim-par is off for this
-// machine). Both board-0 cores (NxP and DSP) share domain 1: same-domain
+// phaseDomain is the run-ahead domain tag for a board's cores: 1 + board
+// index. Both board-0 cores (NxP and DSP) share domain 1: same-domain
 // cores share memory with zero latency, and the phase scheduler keeps
-// same-domain processes strictly sequential with each other.
-func (m *Machine) phaseDomain(boardIdx int) int {
-	if !m.simPar {
-		return 0
-	}
-	return 1 + boardIdx
-}
+// same-domain processes strictly sequential with each other. On a machine
+// whose engine never arms, the tags are never consulted.
+func phaseDomain(boardIdx int) int { return 1 + boardIdx }
 
 // phaseLocal builds the domain-ownership predicate for a board's cores:
 // the physical addresses (in the shared NxP view) a phase member may touch
@@ -728,9 +691,6 @@ func (m *Machine) phaseDomain(boardIdx int) int {
 // and the DMA engine, so they stay outside every domain, as do the
 // board-local device registers and all host-side windows.
 func (m *Machine) phaseLocal(b *Board) func(pa uint64) bool {
-	if !m.simPar {
-		return nil
-	}
 	ddrLo, ddrHi := b.LocalDDR, b.LocalDDR+m.Params.NxPDDR
 	bramLo, bramHi := b.LocalBRAM+BRAMMailboxCarve, b.LocalBRAM+m.Params.NxPBRAM
 	return func(pa uint64) bool {

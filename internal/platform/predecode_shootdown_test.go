@@ -26,13 +26,13 @@ func TestShootdownDropsPredecode(t *testing.T) {
 			}
 			before := make([]uint64, len(m.coreTLBSets))
 			for i, set := range m.coreTLBSets {
-				_, _, before[i] = set.core.PredecodeStats()
+				_, _, before[i] = set.core.SuperblockStats()
 			}
 			for _, tgt := range m.ShootdownTargets() {
 				tgt.Flush(0x4_0000_0000)
 			}
 			for i, set := range m.coreTLBSets {
-				if _, _, after := set.core.PredecodeStats(); after != before[i]+1 {
+				if _, _, after := set.core.SuperblockStats(); after != before[i]+1 {
 					t.Errorf("%s: predecode flushes %d -> %d after one shootdown, want +1",
 						set.name, before[i], after)
 				}

@@ -1,22 +1,31 @@
 package sim
 
-import "os"
-
-// Conservative parallel execution ("sim-par").
+// Conservative run-ahead: the fast engine's path through multi-board
+// machines.
 //
-// The sequential engine runs exactly one process goroutine at a time. That
-// is the source of the simulator's byte-for-byte determinism, but it also
-// means one big machine — four boards, each executing its own superblock
-// interpreter — simulates on a single core no matter how many the host has.
+// The event loop dispatches one process goroutine at a time. That is the
+// source of the simulator's byte-for-byte determinism, but on a machine
+// whose boards compute at the same virtual time it also means every board
+// instruction's sleep finds another board's event queued ahead of it, so
+// the in-place Sleep fast path never applies and each sleep pays two
+// goroutine handoffs through the scheduler.
 //
-// Sim-par recovers intra-simulation parallelism without giving up the
-// determinism contract, using the classic conservative (Chandy-Misra style)
-// argument specialized to this machine's topology: every cross-board
-// interaction is carried by the PCIe link, whose minimum crossing latency L
-// is known up front. A core computing on board i at virtual time t cannot be
-// influenced by anything board j does after virtual time t-L, so boards may
-// run concurrently as long as no board gets more than L ahead of a pending
-// cross-domain event.
+// Run-ahead lets board compute windows advance on private clocks without
+// giving up the determinism contract, using the classic conservative
+// (Chandy-Misra style) argument specialized to this machine's topology:
+// every cross-board interaction is carried by the PCIe link, whose minimum
+// crossing latency L is known up front. A core computing on board i at
+// virtual time t cannot be influenced by anything board j does after
+// virtual time t-L, so boards may run concurrently as long as no board
+// gets more than L ahead of a pending cross-domain event.
+//
+// The platform arms it (EnableSimPar) on every machine it builds, with
+// one domain per board and L derived from the link. Two cases stay on
+// plain sequential dispatch: FLICKSIM_NOPREDECODE, the reference engine,
+// under which EnableSimPar refuses, and a machine with a cpu.spurious
+// fault rule, whose ghost faults draw from one PRNG stream shared by all
+// cores and so only have a deterministic draw order under sequential
+// stepping.
 //
 // The engine realizes this as fork-join "phases" instead of free-running
 // per-domain queues:
@@ -107,6 +116,17 @@ import "os"
 // still a conservative bound of exactly the same form, and everything a
 // member does in-phase remains invisible until the join replays it.
 //
+// # Trajectory bound
+//
+// A member's trajectory is allocated with trajCap entries on its first
+// phase and never grows. The Sleep whose append fills the last slot parks
+// the member exactly as a horizon crossing does, the extension round does
+// not resume a full member, and in-phase TrySleepInPlace declines once one
+// slot is left, so the per-step Sleeps that follow do the parking. Ending
+// a phase early is always conservative, because the join replays whatever
+// was recorded; a long compute window costs one extra join per trajCap
+// sleeps, and the engine's memory stays flat for the process's life.
+//
 // # Scheduler handoff
 //
 // Member goroutines are persistent (one per process for the process's whole
@@ -116,18 +136,11 @@ import "os"
 // buffered channel owned by the process. No channel, slice, or message is
 // allocated per phase or per park.
 
-// SimParDisabled reports whether the FLICKSIM_NOSIMPAR escape hatch is set.
-// It forces the engine back to fully sequential dispatch even when a
-// machine was built with Params.SimPar, mirroring FLICKSIM_NOPREDECODE for
-// the predecode fast paths. Read at machine-construction time, never per
-// event, so tests can flip it with t.Setenv.
-func SimParDisabled() bool { return os.Getenv("FLICKSIM_NOSIMPAR") != "" }
-
-// SimParStats reports the parallel engine's bookkeeping. These are plain
+// SimParStats reports the run-ahead engine's bookkeeping. These are plain
 // fields, deliberately NOT registry metrics: the metrics snapshot is part of
-// the byte-identical artifact contract, and registering sim-par counters
+// the byte-identical artifact contract, and registering run-ahead counters
 // (even zero-valued ones — the registry prints every registered name) would
-// make a parallel run's metrics differ from a sequential run's. Consumers
+// make a fast run's metrics differ from a reference run's. Consumers
 // that want them (benchmarks, tests, docs examples) read them through
 // Env.SimParStats instead.
 type SimParStats struct {
@@ -137,13 +150,17 @@ type SimParStats struct {
 	Phases          uint64   // phases formed
 	Members         uint64   // total members across all phases
 	SingletonPhases uint64   // phases with exactly one member
-	HorizonWaits    uint64   // horizon parks (each round a member waits at its bound)
+	HorizonWaits    uint64   // sleep parks (each round a member waits at its bound or with a full trajectory)
 	Rounds          uint64   // extension rounds that resumed at least one member
 	ParkedEmits     uint64   // members parked out of a phase to emit a trace event
 }
 
-// SimParStats returns the current parallel-engine statistics. All zero when
-// sim-par was never enabled.
+// trajCap is the fixed capacity of a member's trajectory (see "Trajectory
+// bound" above).
+const trajCap = 1024
+
+// SimParStats returns the current run-ahead statistics. All zero when the
+// engine was never armed.
 func (e *Env) SimParStats() SimParStats {
 	return SimParStats{
 		Enabled:         e.simPar,
@@ -158,11 +175,11 @@ func (e *Env) SimParStats() SimParStats {
 	}
 }
 
-// EnableSimPar arms the conservative parallel engine with the given number
-// of compute domains and lookahead window. It refuses (silently staying
+// EnableSimPar arms conservative run-ahead with the given number of
+// compute domains and lookahead window. It refuses (silently staying
 // sequential) when the lookahead or domain count is non-positive or when
-// FLICKSIM_NOPREDECODE is set: the escape hatch that disables every fast
-// path must also disable this one, so the two escape hatches compose.
+// FLICKSIM_NOPREDECODE is set: the reference engine disables every fast
+// path, this one included.
 func (e *Env) EnableSimPar(domains int, lookahead Duration) {
 	if domains <= 0 || lookahead <= 0 || e.noFast {
 		return
@@ -212,8 +229,8 @@ type taggedBound struct {
 // BeginCompute marks the start of a compute window on the process: while
 // the depth is nonzero the process is tagged with the given domain and is
 // eligible for phase membership. Windows nest; only the outermost call sets
-// the domain. Cheap enough to call unconditionally — when sim-par is off
-// the tag is simply never consulted.
+// the domain. Cheap enough to call unconditionally — when run-ahead is not
+// armed the tag is simply never consulted.
 func (p *Proc) BeginCompute(domain int) {
 	p.computeDepth++
 	if p.computeDepth == 1 {
@@ -254,7 +271,7 @@ func (p *Proc) InPhase() bool { return p.inPhase }
 // the bar, such a sleep's continuation is a perfectly eligible queue entry,
 // and the scheduler would fork it into a phase and resume it concurrently
 // in the middle of the shared region. Untagged processes are unaffected,
-// so call sites still need no sim-par awareness of their own.
+// so call sites still need no run-ahead awareness of their own.
 func (p *Proc) PhaseSync() {
 	if p.inPhase {
 		p.phasePark(parkOp)
@@ -325,12 +342,13 @@ func (p *Proc) phaseParkEmit() {
 }
 
 // phaseWaitSleep parks the member at an in-phase sleep whose target crossed
-// the current horizon and waits for the scheduler's round decision. On an
-// extend the scheduler has already raised p.pHorizon to cover the target
-// and the member resumes in-phase (returns true). On a join the member
-// leaves the phase and blocks until its trajectory has replayed through the
-// queue; it returns false running sequentially with the shared clock at the
-// sleep target, exactly like the old single-round park.
+// the current horizon, or whose append filled the trajectory, and waits for
+// the scheduler's round decision. On an extend the scheduler has already
+// raised p.pHorizon to cover the target and the member resumes in-phase
+// (returns true). On a join the member leaves the phase and blocks until
+// its trajectory has replayed through the queue; it returns false running
+// sequentially with the shared clock at the sleep target, exactly like the
+// old single-round park.
 func (p *Proc) phaseWaitSleep(target Time) bool {
 	e := p.env
 	e.phaseMsgs[p.phaseIdx] = parkMsg{kind: parkSleep, pos: p.pNow, target: target}
@@ -575,9 +593,10 @@ func (e *Env) runPhase(members []event) {
 		p.pStrict = e.strictFrom(members, i)
 		if p.traj == nil {
 			// First phase membership: size the trajectory for a fat batched
-			// phase up front so per-sleep appends never grow it in steady
-			// state. Reused (re-sliced, never freed) for the process's life.
-			p.traj = make([]Time, 0, 1024)
+			// phase up front. The trajectory bound keeps appends inside it,
+			// so it is reused (re-sliced, never regrown) for the process's
+			// life.
+			p.traj = make([]Time, 0, trajCap)
 		}
 		p.traj = p.traj[:0]
 		p.cursor = 0
@@ -622,14 +641,19 @@ func (e *Env) runPhase(members []event) {
 		// target fits its recomputed horizon. The horizon must strictly
 		// grow — the target crossed the old bound, so covering it implies
 		// growth — and is written before the resume, so the member sees it.
+		// A member whose trajectory is full stays parked until the join.
 		resumed := 0
 		for i := 0; i < k; i++ {
 			if st[i] != phSleepParked {
 				continue
 			}
+			p := members[i].proc
+			if len(p.traj) == cap(p.traj) {
+				continue
+			}
 			h := e.roundHorizon(members, i, st)
-			if h >= msgs[i].target && h > members[i].proc.pHorizon {
-				members[i].proc.pHorizon = h
+			if h >= msgs[i].target && h > p.pHorizon {
+				p.pHorizon = h
 				st[i] = phRunning
 				resumed++
 			}

@@ -8,13 +8,13 @@ import (
 	"sync"
 )
 
-// FastPathsDisabled reports whether the FLICKSIM_NOPREDECODE escape hatch
-// is set. It disables every wall-clock fast path in the simulator (the
-// in-place Sleep advance here, the predecode cache in internal/cpu, the
-// last-translation cache in internal/mmu) so CI can prove the optimized
-// and unoptimized paths produce byte-identical artifacts. Read at
-// construction time (NewEnv, cpu.New, mmu.New), never per step, so tests
-// can flip it with t.Setenv.
+// FastPathsDisabled reports whether FLICKSIM_NOPREDECODE selects the
+// reference engine. It disables every wall-clock fast path in the
+// simulator (the in-place Sleep advance here, run-ahead in domain.go, the
+// superblock cache in internal/cpu, the last-translation cache in
+// internal/mmu) so tests and CI can prove the default engine produces
+// byte-identical artifacts. Read at construction time (NewEnv, cpu.New,
+// mmu.New), never per step, so tests can flip it with t.Setenv.
 func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOPREDECODE") != "" }
 
 // Env is a discrete-event simulation environment. Processes are spawned
@@ -44,9 +44,9 @@ type Env struct {
 	panicV  any           // re-thrown panic from a process
 	yield   chan yieldMsg // handed a token each time the running process cedes control
 
-	// Conservative parallel engine (see domain.go). All zero/nil until
-	// EnableSimPar arms it; the sequential engine never consults them
-	// beyond the single e.simPar branch in the event loops.
+	// Conservative run-ahead (see domain.go). All zero/nil until
+	// EnableSimPar arms it; unarmed, the event loops consult nothing here
+	// beyond the single e.simPar branch.
 	simPar           bool
 	domains          int
 	lookahead        Duration
@@ -185,9 +185,9 @@ type Proc struct {
 	// waitOn is the condition this process is blocked on, if any.
 	waitOn *Cond
 
-	// Conservative parallel engine state (see domain.go). domain and
+	// Conservative run-ahead state (see domain.go). domain and
 	// computeDepth are maintained by BeginCompute/EndCompute whether or
-	// not sim-par is armed; the rest is live only while inPhase.
+	// not run-ahead is armed; the rest is live only while inPhase.
 	domain       int
 	computeDepth int
 	inPhase      bool
@@ -431,10 +431,12 @@ func (p *Proc) Sleep(d Duration) {
 		// Crossing the horizon parks the member; the scheduler then either
 		// extends the phase with a horizon that covers the target (the
 		// member resumes in-phase) or joins the phase (the member resumes
-		// sequentially with the shared clock at the sleep target).
+		// sequentially with the shared clock at the sleep target). Filling
+		// the trajectory's last slot parks it the same way, and the
+		// scheduler never extends a full member.
 		t := p.pNow.Add(d)
 		p.traj = append(p.traj, t)
-		if t <= p.pHorizon || p.phaseWaitSleep(t) {
+		if (t <= p.pHorizon && len(p.traj) < cap(p.traj)) || p.phaseWaitSleep(t) {
 			p.pNow = t
 		}
 		return
@@ -490,10 +492,10 @@ func (p *Proc) TrySleepInPlace(d Duration) bool {
 		// would take the sequential in-place fast path at replay time too,
 		// so an in-phase merge happens exactly when the sequential engine
 		// would also have merged (and consumed no sequence numbers). Beyond
-		// it the caller falls back to per-step Sleeps, which record or park
-		// individually.
+		// it, or with one trajectory slot left, the caller falls back to
+		// per-step Sleeps, which record or park individually.
 		t := p.pNow.Add(d)
-		if t <= p.pStrict {
+		if t <= p.pStrict && len(p.traj) < cap(p.traj)-1 {
 			p.traj = append(p.traj, t)
 			p.pNow = t
 			return true

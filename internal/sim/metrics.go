@@ -283,10 +283,10 @@ type ReportSource interface {
 }
 
 // SimParSource is a ReportSource that can additionally expose the
-// parallel engine's bookkeeping. The stats ride the Observer side channel
+// run-ahead engine's bookkeeping. The stats ride the Observer side channel
 // rather than the Report because the Report is part of the byte-identical
-// artifact contract — a parallel run's Report must not differ from a
-// sequential run's.
+// artifact contract — a fast run's Report must not differ from a
+// reference run's.
 type SimParSource interface {
 	SimParStats() SimParStats
 }
@@ -302,10 +302,10 @@ type Observer struct {
 	// OnReport receives the run's Report. It may be called from scheduler
 	// worker goroutines, so it must be safe for concurrent use.
 	OnReport func(Report)
-	// OnSimPar receives the parallel engine's statistics when the source
+	// OnSimPar receives the run-ahead engine's statistics when the source
 	// exposes them (benchmarks use this to report phase-batching ratios;
-	// see SimParSource). Called even for sequential runs — Enabled is
-	// false there.
+	// see SimParSource). Called even when run-ahead never armed — Enabled
+	// is false there.
 	OnSimPar func(SimParStats)
 }
 

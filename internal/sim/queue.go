@@ -6,7 +6,7 @@ package sim
 // The previous implementation was a container/heap over []event. Every
 // Push boxed the event into an interface{} and every Pop boxed it back,
 // which made the queue the simulator's dominant allocation site (87% of
-// all allocations in the sim-par scale-out profile) and put the GC on the
+// all allocations in the run-ahead scale-out profile) and put the GC on the
 // hot path of every short phase. This queue stores events by value in
 // three typed areas and allocates only when a bucket or the overflow heap
 // grows beyond its high-water capacity:

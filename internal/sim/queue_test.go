@@ -204,18 +204,34 @@ func TestQueueForEachVisitsAll(t *testing.T) {
 // TestSimParPhaseScratchReuse is the pool-hygiene property: the per-env
 // phase scratch (member slots, park table, queue-bound scratch) is sized
 // once at EnableSimPar and must be reused by every subsequent phase —
-// never regrown — and every member goroutine must be gone once Run
-// returns. A leaked member (stuck on its phase command channel) or a
-// scratch slice that regrows per phase fails here; run under -race this
-// also sweeps the handoff protocol for data races across many phases.
+// never regrown — every member's trajectory keeps the capacity it was
+// given on its first phase, and every member goroutine must be gone once
+// Run returns. A leaked member (stuck on its phase command channel) or a
+// scratch slice that regrows fails here; run under -race this also sweeps
+// the handoff protocol for data races across many phases.
 func TestSimParPhaseScratchReuse(t *testing.T) {
 	const lookahead = 825 * Nanosecond
 	const domains = 4
 	before := runtime.NumGoroutine()
 
-	var phases uint64
+	var schedules []simParSchedule
 	for seed := int64(100); seed < 112; seed++ {
-		s := drawSimParSchedule(seed, domains, lookahead)
+		schedules = append(schedules, drawSimParSchedule(seed, domains, lookahead))
+	}
+	// A long phase: two boards sleeping in lockstep, each 5000 times in one
+	// compute window, so every round extends both members and only the
+	// trajectory bound ends the phase.
+	long := simParSchedule{boards: make([][]simParStep, 2)}
+	for d := range long.boards {
+		for i := 0; i < 5000; i++ {
+			long.boards[d] = append(long.boards[d], simParStep{sleep: Duration(1+(i+d)%3) * Nanosecond})
+		}
+	}
+	schedules = append(schedules, long)
+
+	var phases uint64
+	for i, s := range schedules {
+		seed := 100 + int64(i)
 		env := NewEnv(WithTraceCapacity(1 << 14))
 		env.EnableSimPar(domains, lookahead)
 		for d := range s.boards {
@@ -248,6 +264,15 @@ func TestSimParPhaseScratchReuse(t *testing.T) {
 		}
 		if len(env.phaseMembers) != 0 {
 			t.Fatalf("seed %d: %d members still registered after Run", seed, len(env.phaseMembers))
+		}
+		for _, p := range env.procs {
+			if p.traj == nil && i < len(schedules)-1 {
+				continue // never a phase member; the long schedule's boards always are
+			}
+			if got := cap(p.traj); got != trajCap {
+				t.Fatalf("seed %d: %s trajectory capacity %d after %d phases, want the preallocated %d",
+					seed, p.name, got, st.Phases, trajCap)
+			}
 		}
 	}
 	if phases == 0 {

@@ -238,7 +238,7 @@ func TestSimParHorizonProperty(t *testing.T) {
 			case 1:
 				e.queue.Push(event{at: at, seq: uint64(i), proc: mkproc(0, 0)})
 			default:
-				e.queue.Push(event{at: at, seq: uint64(i), proc: mkproc(1 + rng.Intn(4), 1)})
+				e.queue.Push(event{at: at, seq: uint64(i), proc: mkproc(1+rng.Intn(4), 1)})
 			}
 		}
 		// Random member set with pairwise distinct domains, all starting
@@ -323,7 +323,8 @@ func TestSimParLookaheadFloor(t *testing.T) {
 
 // TestEnableSimParRefusals checks the arming guards: non-positive domains or
 // lookahead leave the engine sequential, and the FLICKSIM_NOPREDECODE
-// escape hatch (which must disable every fast path) wins over EnableSimPar.
+// reference engine (which must disable every fast path) wins over
+// EnableSimPar.
 func TestEnableSimParRefusals(t *testing.T) {
 	for _, tc := range []struct {
 		domains   int
@@ -340,18 +341,6 @@ func TestEnableSimParRefusals(t *testing.T) {
 	e.EnableSimPar(2, 825*Nanosecond)
 	if st := e.SimParStats(); st.Enabled {
 		t.Error("EnableSimPar armed despite FLICKSIM_NOPREDECODE")
-	}
-}
-
-// TestSimParDisabledEnv checks the dedicated escape hatch reader.
-func TestSimParDisabledEnv(t *testing.T) {
-	t.Setenv("FLICKSIM_NOSIMPAR", "")
-	if SimParDisabled() {
-		t.Error("SimParDisabled true with the variable unset")
-	}
-	t.Setenv("FLICKSIM_NOSIMPAR", "1")
-	if !SimParDisabled() {
-		t.Error("SimParDisabled false with the variable set")
 	}
 }
 

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
-	"time"
 
 	"flick"
 	"flick/internal/experiments"
@@ -16,18 +14,23 @@ import (
 	"flick/internal/workloads"
 )
 
-// The sim-par differential suite: building a machine with Params.SimPar
-// changes how the simulator uses the host's cores, and must change nothing
-// else. Every test here runs the same configuration through the sequential
-// and the parallel engine and requires the complete observable record —
-// virtual end time, exit codes, console output, the full metrics snapshot,
-// and the full event trace — to match exactly. See docs/SCALING.md.
+// The engine differential suite. The default engine — superblocks,
+// in-place sleeps, translation reuse and conservative run-ahead across
+// boards — changes how fast the simulator runs and must change nothing
+// else. Every test here runs the same configuration on the default engine
+// and on the reference engine (FLICKSIM_NOPREDECODE=1, every fast path
+// off) and requires the complete observable record — virtual end time,
+// exit codes, console output, the full metrics snapshot, and the full
+// event trace — to match exactly. See docs/SCALING.md.
 
-// simParRecord canonicalizes one run's complete observable record.
+// simParRecord canonicalizes one run's complete observable record, plus
+// the run-ahead statistics that say which engine produced it.
 type simParRecord struct {
-	total  sim.Duration
-	calls  int
-	report string
+	total   sim.Duration
+	calls   int
+	report  string
+	metrics sim.Snapshot
+	stats   sim.SimParStats
 }
 
 // formatReport flattens a sim.Report into a comparable string. %+v is
@@ -38,50 +41,77 @@ func formatReport(r sim.Report) string {
 	return fmt.Sprintf("dropped=%d\n%+v\n%+v", r.Dropped, r.Metrics, r.Events)
 }
 
-// runScaleOutRecord runs the scale-out workload with the given engine
-// selection and returns its observable record.
-func runScaleOutRecord(t *testing.T, boards int, policy string, faults string, faultSeed int64, par bool) simParRecord {
+// useReferenceEngine selects the reference engine for every machine the
+// test builds from here on: the fast paths are chosen when a machine is
+// built, and the variable is restored when the test ends.
+func useReferenceEngine(t *testing.T) {
+	t.Helper()
+	t.Setenv("FLICKSIM_NOPREDECODE", "1")
+}
+
+// runScaleOutRecord runs the scale-out workload on the engine the
+// environment selects and returns its observable record.
+func runScaleOutRecord(t *testing.T, boards int, policy string, faults string, faultSeed int64) simParRecord {
 	t.Helper()
 	p := platform.DefaultParams()
-	p.SimPar = par
 	p.Faults = faults
 	p.FaultSeed = faultSeed
 	var rec simParRecord
 	obs := &sim.Observer{
 		TraceCap: 1 << 14,
-		OnReport: func(r sim.Report) { rec.report = formatReport(r) },
+		OnReport: func(r sim.Report) { rec.report, rec.metrics = formatReport(r), r.Metrics },
+		OnSimPar: func(st sim.SimParStats) { rec.stats = st },
 	}
 	total, calls, err := workloads.RunScaleOut(6, 8, boards, policy, &p, obs)
 	if err != nil {
-		t.Fatalf("boards=%d policy=%q faults=%q par=%v: %v", boards, policy, faults, par, err)
+		t.Fatalf("boards=%d policy=%q faults=%q: %v", boards, policy, faults, err)
 	}
 	rec.total, rec.calls = total, calls
 	return rec
 }
 
-func diffRecords(t *testing.T, label string, seq, par simParRecord) {
+// diffRecords compares a default-engine record against the reference
+// engine's. A reference run that armed run-ahead would make the comparison
+// vacuous, so that fails too.
+func diffRecords(t *testing.T, label string, ref, fast simParRecord) {
 	t.Helper()
-	if seq.total != par.total {
-		t.Errorf("%s: end time diverges: seq %v, par %v", label, seq.total, par.total)
+	if ref.stats.Enabled {
+		t.Errorf("%s: the reference engine armed run-ahead", label)
 	}
-	if seq.calls != par.calls {
-		t.Errorf("%s: migrated calls diverge: seq %d, par %d", label, seq.calls, par.calls)
+	if ref.total != fast.total {
+		t.Errorf("%s: end time diverges: reference %v, fast %v", label, ref.total, fast.total)
 	}
-	if seq.report != par.report {
-		t.Errorf("%s: metrics/trace report diverges (seq %d bytes, par %d bytes)",
-			label, len(seq.report), len(par.report))
+	if ref.calls != fast.calls {
+		t.Errorf("%s: migrated calls diverge: reference %d, fast %d", label, ref.calls, fast.calls)
+	}
+	if ref.report != fast.report {
+		t.Errorf("%s: metrics/trace report diverges (reference %d bytes, fast %d bytes)",
+			label, len(ref.report), len(fast.report))
 	}
 }
 
+// scaleOutDifferential runs one scale-out configuration on the default
+// engine, which must have armed run-ahead (unless the whole suite runs on
+// the reference engine), and then on the reference engine, and compares
+// the records.
+func scaleOutDifferential(t *testing.T, label string, boards int, policy, faults string, faultSeed int64) {
+	t.Helper()
+	fast := runScaleOutRecord(t, boards, policy, faults, faultSeed)
+	if !fast.stats.Enabled && !sim.FastPathsDisabled() {
+		t.Errorf("%s: the default engine did not arm run-ahead", label)
+	}
+	useReferenceEngine(t)
+	ref := runScaleOutRecord(t, boards, policy, faults, faultSeed)
+	diffRecords(t, label, ref, fast)
+}
+
 // TestSimParDifferentialScaleOut sweeps the scale-out workload across every
-// board count and placement policy, sequential versus parallel engine.
+// board count and placement policy, default versus reference engine.
 func TestSimParDifferentialScaleOut(t *testing.T) {
 	for boards := 1; boards <= 4; boards++ {
 		for _, policy := range placementPolicies() {
 			t.Run(fmt.Sprintf("boards=%d/%s", boards, policy), func(t *testing.T) {
-				seq := runScaleOutRecord(t, boards, policy, "", 0, false)
-				par := runScaleOutRecord(t, boards, policy, "", 0, true)
-				diffRecords(t, "scaleout", seq, par)
+				scaleOutDifferential(t, "scaleout", boards, policy, "", 0)
 			})
 		}
 	}
@@ -95,28 +125,50 @@ func TestSimParDifferentialFaulted(t *testing.T) {
 	for _, seed := range []int64{7, 11} {
 		for _, boards := range []int{2, 4} {
 			t.Run(fmt.Sprintf("seed=%d/boards=%d", seed, boards), func(t *testing.T) {
-				seq := runScaleOutRecord(t, boards, "", spec, seed, false)
-				par := runScaleOutRecord(t, boards, "", spec, seed, true)
-				diffRecords(t, "faulted", seq, par)
+				scaleOutDifferential(t, "faulted", boards, "", spec, seed)
 			})
 		}
 	}
 }
 
-// TestSimParInterleavingIndependence pins the parallel engine's record
-// against the host scheduler: the same parallel run on one OS thread and on
-// all of them must agree with the sequential engine — if any result ever
-// depended on how member goroutines raced in wall time, pinning GOMAXPROCS
-// would expose it.
+// TestSimParSpuriousFallback pins the one machine the default engine keeps
+// on sequential dispatch: a cpu.spurious rule draws ghost faults from one
+// PRNG stream shared by every core, so run-ahead must not arm, and the
+// record must still match the reference engine's.
+func TestSimParSpuriousFallback(t *testing.T) {
+	const spec = "cpu.spurious=0.01"
+	fast := runScaleOutRecord(t, 2, "", spec, 7)
+	if fast.stats.Enabled {
+		t.Error("run-ahead armed on a machine with a cpu.spurious rule")
+	}
+	if fast.metrics.Counter("fault.injected.cpu.spurious") == 0 {
+		t.Error("no ghost fault was injected; the fallback went unexercised")
+	}
+	useReferenceEngine(t)
+	ref := runScaleOutRecord(t, 2, "", spec, 7)
+	diffRecords(t, "cpu.spurious", ref, fast)
+}
+
+// TestSimParInterleavingIndependence pins the default engine's record
+// against the host scheduler: the same run on one OS thread and on all of
+// them must agree with the reference engine — if any result ever depended
+// on how member goroutines raced in wall time, pinning GOMAXPROCS would
+// expose it.
 func TestSimParInterleavingIndependence(t *testing.T) {
-	seq := runScaleOutRecord(t, 4, "", "", 0, false)
-	for _, procs := range []int{1, runtime.NumCPU()} {
+	const reps = 3
+	allProcs := []int{1, runtime.NumCPU()}
+	var fast []simParRecord
+	for _, procs := range allProcs {
 		prev := runtime.GOMAXPROCS(procs)
-		for rep := 0; rep < 3; rep++ {
-			par := runScaleOutRecord(t, 4, "", "", 0, true)
-			diffRecords(t, fmt.Sprintf("GOMAXPROCS=%d rep=%d", procs, rep), seq, par)
+		for rep := 0; rep < reps; rep++ {
+			fast = append(fast, runScaleOutRecord(t, 4, "", "", 0))
 		}
 		runtime.GOMAXPROCS(prev)
+	}
+	useReferenceEngine(t)
+	ref := runScaleOutRecord(t, 4, "", "", 0)
+	for i, rec := range fast {
+		diffRecords(t, fmt.Sprintf("GOMAXPROCS=%d rep=%d", allProcs[i/reps], i%reps), ref, rec)
 	}
 }
 
@@ -124,30 +176,32 @@ func TestSimParInterleavingIndependence(t *testing.T) {
 // process, admission windows, SLO verdicts and all — through both engines
 // and compares the rendered report byte for byte.
 func TestSimParDifferentialTraffic(t *testing.T) {
-	render := func(par bool) string {
+	render := func() string {
 		o := experiments.Quick()
 		o.Boards = 2
-		o.SimPar = par
 		var buf bytes.Buffer
 		if err := experiments.Traffic(o, experiments.TrafficOptions{Window: 2 * sim.Millisecond}, &buf); err != nil {
-			t.Fatalf("par=%v: %v", par, err)
+			t.Fatal(err)
 		}
 		return buf.String()
 	}
-	seq := render(false)
-	par := render(true)
-	if seq != par {
-		t.Errorf("traffic report diverges between engines:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
+	fast := render()
+	useReferenceEngine(t)
+	ref := render()
+	if ref != fast {
+		t.Errorf("traffic report diverges between engines:\n--- reference ---\n%s\n--- fast ---\n%s", ref, fast)
 	}
 }
 
 // TestSimParPhasesForm proves the differential results above are not
-// vacuous: on a real multi-board machine the parallel engine must actually
-// arm, agree with the platform's lookahead derivation, and form phases with
-// board-domain members.
+// vacuous: a multi-board machine built with no option set must arm
+// run-ahead, agree with the platform's lookahead derivation, and form
+// phases with board-domain members.
 func TestSimParPhasesForm(t *testing.T) {
+	if sim.FastPathsDisabled() {
+		t.Skip("FLICKSIM_NOPREDECODE set: the reference engine never arms run-ahead")
+	}
 	p := platform.DefaultParams()
-	p.SimPar = true
 	p.HostCores = 6
 	sys, err := flick.Build(flick.Config{
 		Sources: map[string]string{"mix.fasm": placementMix},
@@ -167,7 +221,7 @@ func TestSimParPhasesForm(t *testing.T) {
 	}
 	st := sys.Machine.Env.SimParStats()
 	if !st.Enabled {
-		t.Fatal("SimParStats.Enabled = false on a Params.SimPar machine; the gate silently turned the engine off")
+		t.Fatal("SimParStats.Enabled = false on a default 4-board machine; run-ahead never armed")
 	}
 	if st.Domains != 4 {
 		t.Errorf("SimParStats.Domains = %d, want 4", st.Domains)
@@ -180,86 +234,6 @@ func TestSimParPhasesForm(t *testing.T) {
 	}
 	if st.Members < st.Phases {
 		t.Errorf("SimParStats.Members = %d < Phases = %d", st.Members, st.Phases)
-	}
-}
-
-// TestSimParWallClockSmoke asserts the point of the whole engine: on a
-// multi-core host, a boards=4 parallel run must complete no slower in wall
-// clock than the same run on the sequential engine. The margin is large —
-// the parallel engine wins by several-fold even on one core, because fat
-// phases replace per-instruction queue round-trips — so a plain <= with
-// best-of-three sampling is stable. On a single-core host (GOMAXPROCS=1)
-// the comparison still holds in practice, but there is no parallelism to
-// demonstrate, so the test skips rather than certify a vacuous win.
-func TestSimParWallClockSmoke(t *testing.T) {
-	if runtime.GOMAXPROCS(0) == 1 {
-		t.Skip("GOMAXPROCS=1: no host parallelism to smoke-test")
-	}
-	const boards = 4
-	wall := func(par bool) time.Duration {
-		best := time.Duration(0)
-		for i := 0; i < 3; i++ {
-			p := platform.DefaultParams()
-			p.SimPar = par
-			start := time.Now()
-			if _, _, err := workloads.RunScaleOut(8, 12, boards, "", &p, nil); err != nil {
-				t.Fatal(err)
-			}
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	seq := wall(false)
-	par := wall(true)
-	t.Logf("boards=%d wall clock: sequential %v, sim-par %v", boards, seq, par)
-	if par > seq {
-		t.Errorf("sim-par wall clock %v exceeds sequential %v at boards=%d", par, seq, boards)
-	}
-}
-
-// TestSimParMetricsOptIn covers both halves of the Params.SimParMetrics
-// contract: with the flag set, the engine's bookkeeping appears in the
-// snapshot as simpar.* gauges; without it — every paper-artifact
-// configuration — the snapshot carries no simpar key at all, so enabling
-// the parallel engine cannot widen the artifact's metrics schema.
-func TestSimParMetricsOptIn(t *testing.T) {
-	run := func(metrics bool) sim.Snapshot {
-		t.Helper()
-		p := platform.DefaultParams()
-		p.SimPar = true
-		p.SimParMetrics = metrics
-		var snap sim.Snapshot
-		obs := &sim.Observer{OnReport: func(r sim.Report) { snap = r.Metrics }}
-		if _, _, err := workloads.RunScaleOut(4, 6, 2, "", &p, obs); err != nil {
-			t.Fatal(err)
-		}
-		return snap
-	}
-
-	withMetrics := run(true)
-	for _, name := range []string{"simpar.phases", "simpar.members", "simpar.singleton_phases", "simpar.parked_emits"} {
-		found := false
-		for _, c := range withMetrics.Counters {
-			if c.Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("SimParMetrics snapshot is missing %q", name)
-		}
-	}
-	if got := withMetrics.Counter("simpar.phases"); got == 0 {
-		t.Error("simpar.phases = 0 on a multi-board SimPar run; the gauges are registered but read nothing")
-	}
-
-	defaults := run(false)
-	for _, c := range defaults.Counters {
-		if strings.HasPrefix(c.Name, "simpar.") {
-			t.Errorf("default (artifact) snapshot carries %q; sim-par metrics must be opt-in", c.Name)
-		}
 	}
 }
 
@@ -283,14 +257,13 @@ func TestSimParLookaheadPinned(t *testing.T) {
 
 // TestSimParRaceStress is the race-detector workout: four boards' worth of
 // truly concurrent member goroutines under fault injection, repeated a few
-// times. Functionally it re-checks the mix oracle; its real value is under
+// times on the default engine. Functionally it re-checks the mix oracle; its real value is under
 // `go test -race`, where any member touching shared scheduler or model
 // state outside its domain becomes a hard failure.
 func TestSimParRaceStress(t *testing.T) {
 	const tasks, calls = 8, 5
 	for rep := 0; rep < 3; rep++ {
 		p := platform.DefaultParams()
-		p.SimPar = true
 		p.HostCores = tasks
 		p.Faults = "dma1.fail=1,msi.drop=0.05"
 		p.FaultSeed = 7
