@@ -51,25 +51,30 @@ golden:
 		diff -u testdata/golden/$$f $$dir/$$f || exit 1; \
 	done && rm -rf $$dir && echo "golden: all artifacts byte-identical"
 
+# The hot-loop record: end-to-end scale-out throughput, the interpreter's
+# steady-state step, the translate hit path, and the event engine's two
+# unit costs (a process handoff and a timer wake).
+HOTLOOP_BENCH = $(GO) test -run '^$$' -benchmem -json \
+	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkProcessSwitch|BenchmarkTimerWake' \
+	./internal/cpu ./internal/mmu ./internal/sim .
+
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
-		./internal/cpu ./internal/mmu . > BENCH_hotloop.json
+	$(HOTLOOP_BENCH) > BENCH_hotloop.json
 
-# Hot-loop perf trajectory: re-run the steady-state Step/Translate
-# benchmarks and refresh the checked-in record (see docs/PERFORMANCE.md).
+# Hot-loop perf trajectory: re-run the hot-loop benchmarks and refresh the
+# checked-in record (see docs/PERFORMANCE.md).
 bench-hotloop:
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
-		./internal/cpu ./internal/mmu . > BENCH_hotloop.json
+	$(HOTLOOP_BENCH) > BENCH_hotloop.json
 
 # Bench regression gate: re-run the hot-loop benchmarks into a scratch
-# capture and fail if any benchmark present in the checked-in record
-# regressed more than 15% (see cmd/benchcheck). Refresh the record with
-# `make bench-hotloop` after a deliberate perf change.
+# capture and fail if any benchmark in the checked-in record regressed
+# more than 15% or is missing from the capture (see cmd/benchcheck).
+# Refresh the record with `make bench-hotloop` after a deliberate perf
+# change.
 bench-check:
 	@tmp=$$(mktemp) && \
-	$(GO) test -run '^$$' -bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit' -benchmem -json \
-		./internal/cpu ./internal/mmu . > $$tmp && \
+	$(HOTLOOP_BENCH) > $$tmp && \
 	$(GO) run ./cmd/benchcheck BENCH_hotloop.json $$tmp; \
 	st=$$?; rm -f $$tmp; exit $$st
 

@@ -6,10 +6,12 @@
 //	benchcheck [-threshold 0.15] baseline.json current.json
 //
 // The baseline is the checked-in hot-loop record (BENCH_hotloop.json); the
-// current file is a fresh capture of the same benchmarks. Benchmarks only
-// present on one side are reported but never fail the gate, so adding a
-// backend (a new BenchmarkCoreStep sub-benchmark) does not break CI until
-// the baseline is refreshed with `make bench-hotloop`.
+// current file is a fresh capture of the same benchmarks. A benchmark in
+// the baseline but absent from the current capture fails the gate, so a
+// renamed or deleted benchmark cannot leave it silently. A benchmark only
+// in the current capture is reported but never fails, so adding a backend
+// (a new BenchmarkCoreStep sub-benchmark) does not break CI until the
+// baseline is refreshed with `make bench-hotloop`.
 //
 // Three kinds of metric are gated, per benchmark, when present in both
 // captures:
@@ -23,8 +25,9 @@
 //     drops more than the threshold below the baseline.
 //
 // Other units (B/op, phases/Minstr, ...) are carried in the record and
-// printed for diffing but never fail the gate. Exit codes: 0 all matched
-// benchmarks within threshold, 1 regression, 2 usage/parse error.
+// printed for diffing but never fail the gate. Exit codes: 0 every baseline
+// benchmark present and within threshold, 1 regression or missing
+// benchmark, 2 usage/parse error.
 package main
 
 import (
@@ -94,12 +97,13 @@ func run(args []string) int {
 	}
 	sort.Strings(names)
 
-	failed := false
+	failed, missing := false, false
 	for _, name := range names {
 		was := base[name]
 		now, ok := cur[name]
 		if !ok {
 			fmt.Printf("MISSING  %-44s baseline %s, absent from current run\n", name, formatMetric(was["ns/op"], "ns/op"))
+			missing = true
 			continue
 		}
 		units := make([]string, 0, len(was))
@@ -135,8 +139,13 @@ func run(args []string) int {
 				name, formatMetric(cur[name]["ns/op"], "ns/op"))
 		}
 	}
+	if missing {
+		fmt.Println("benchcheck: baseline benchmarks missing from the current run (refresh the record if they were renamed or removed)")
+	}
 	if failed {
 		fmt.Printf("benchcheck: regression beyond %.0f%%\n", *threshold*100)
+	}
+	if failed || missing {
 		return 1
 	}
 	return 0

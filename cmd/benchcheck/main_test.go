@@ -142,15 +142,12 @@ func TestMetricDroppedFromCurrentIsSkipped(t *testing.T) {
 	}
 }
 
-// A benchmark only present on one side must not fail the gate: a freshly
-// added backend appears in the current capture before the checked-in
-// baseline is refreshed, and the baseline may name benchmarks a filtered
-// current run skipped.
-func TestOneSidedBenchmarksAreReportedNotFatal(t *testing.T) {
+// A benchmark only in the current capture must not fail the gate: a freshly
+// added backend appears there before the checked-in baseline is refreshed.
+func TestNewBenchmarkIsReportedNotFatal(t *testing.T) {
 	dir := t.TempDir()
 	base := capture(t, filepath.Join(dir, "base.json"), map[string]bench{
 		"BenchmarkCoreStep/host": nsOnly(70.0),
-		"BenchmarkCoreStep/dsp":  nsOnly(70.0),
 	})
 	cur := capture(t, filepath.Join(dir, "cur.json"), map[string]bench{
 		"BenchmarkCoreStep/host": nsOnly(70.0),
@@ -158,6 +155,23 @@ func TestOneSidedBenchmarksAreReportedNotFatal(t *testing.T) {
 	})
 	if code := run([]string{base, cur}); code != 0 {
 		t.Errorf("exit = %d, want 0", code)
+	}
+}
+
+// A benchmark in the baseline but absent from the current capture fails
+// the gate: otherwise renaming a benchmark would drop it from the gate
+// without anyone noticing.
+func TestMissingBenchmarkFails(t *testing.T) {
+	dir := t.TempDir()
+	base := capture(t, filepath.Join(dir, "base.json"), map[string]bench{
+		"BenchmarkCoreStep/host": nsOnly(70.0),
+		"BenchmarkCoreStep/dsp":  nsOnly(70.0),
+	})
+	cur := capture(t, filepath.Join(dir, "cur.json"), map[string]bench{
+		"BenchmarkCoreStep/host": nsOnly(70.0),
+	})
+	if code := run([]string{base, cur}); code != 1 {
+		t.Errorf("exit = %d, want 1", code)
 	}
 }
 

@@ -257,10 +257,11 @@ func (s *System) Now() sim.Time { return s.Machine.Env.Now() }
 // every platform component registered into, plus the recorded event trace.
 func (s *System) Report() sim.Report { return s.Machine.Env.Report() }
 
-// SimParStats returns the run-ahead engine's bookkeeping (all zero when it
-// never armed). Deliberately separate from Report: the Report is
-// byte-identical between the fast and the reference engine, while these
-// stats describe how the fast engine got there.
+// SimParStats returns the event engine's bookkeeping: run-ahead phase
+// counts (zero when it never armed) and goroutine handoffs. Deliberately
+// separate from Report: the Report is byte-identical between the fast and
+// the reference engine, while these stats describe how the engine got
+// there.
 func (s *System) SimParStats() sim.SimParStats { return s.Machine.Env.SimParStats() }
 
 // Console returns the program's console output.

@@ -7,8 +7,8 @@ package sim
 // source of the simulator's byte-for-byte determinism, but on a machine
 // whose boards compute at the same virtual time it also means every board
 // instruction's sleep finds another board's event queued ahead of it, so
-// the in-place Sleep fast path never applies and each sleep pays two
-// goroutine handoffs through the scheduler.
+// the in-place Sleep fast path never applies and each sleep pays a queue
+// push and pop and a goroutine switch to the next board's process.
 //
 // Run-ahead lets board compute windows advance on private clocks without
 // giving up the determinism contract, using the classic conservative
@@ -127,22 +127,28 @@ package sim
 // was recorded; a long compute window costs one extra join per trajCap
 // sleeps, and the engine's memory stays flat for the process's life.
 //
-// # Scheduler handoff
+// # Baton handoff
 //
-// Member goroutines are persistent (one per process for the process's whole
-// life) and the park/resume handoff allocates nothing: a parking member
-// writes its own slot in a preallocated park table and signals a
-// sync.WaitGroup the scheduler waits on; resumption is a one-element
-// buffered channel owned by the process. No channel, slice, or message is
-// allocated per phase or per park.
+// Phases are forked and joined only on Run's goroutine: a process goroutine
+// passing the baton (see Env) hands it back to Run when the head event is
+// phase-eligible, and the ceding process may itself be one of the members.
+// Member goroutines are the processes' own, and the park/resume handoff
+// allocates nothing: a parking member writes its own slot in a
+// preallocated park table and signals a sync.WaitGroup Run's goroutine
+// waits on; a round decision travels on the member's one-element buffered
+// phaseCmd channel, and the member's final resume arrives on its ordinary
+// resume channel from whichever goroutine holds the baton when the
+// trajectory replay ends. No channel, slice, or message is allocated per
+// phase or per park.
 
-// SimParStats reports the run-ahead engine's bookkeeping. These are plain
-// fields, deliberately NOT registry metrics: the metrics snapshot is part of
-// the byte-identical artifact contract, and registering run-ahead counters
-// (even zero-valued ones — the registry prints every registered name) would
-// make a fast run's metrics differ from a reference run's. Consumers
-// that want them (benchmarks, tests, docs examples) read them through
-// Env.SimParStats instead.
+// SimParStats reports the event engine's bookkeeping: the run-ahead
+// engine's phase counts and, on either engine, the baton's goroutine
+// handoffs. These are plain fields, deliberately NOT registry metrics: the
+// metrics snapshot is part of the byte-identical artifact contract, and
+// registering engine counters (even zero-valued ones — the registry prints
+// every registered name) would make a fast run's metrics differ from a
+// reference run's. Consumers that want them (benchmarks, tests, docs
+// examples) read them through Env.SimParStats instead.
 type SimParStats struct {
 	Enabled         bool     // the engine may form phases
 	Domains         int      // number of compute domains (boards) configured
@@ -153,14 +159,20 @@ type SimParStats struct {
 	HorizonWaits    uint64   // sleep parks (each round a member waits at its bound or with a full trajectory)
 	Rounds          uint64   // extension rounds that resumed at least one member
 	ParkedEmits     uint64   // members parked out of a phase to emit a trace event
+
+	// Handoffs counts the goroutine switches the baton took outside phases:
+	// a process started or resumed by another goroutine, or the baton
+	// returned to Run's goroutine. A process that resumes itself costs
+	// none.
+	Handoffs uint64
 }
 
 // trajCap is the fixed capacity of a member's trajectory (see "Trajectory
 // bound" above).
 const trajCap = 1024
 
-// SimParStats returns the current run-ahead statistics. All zero when the
-// engine was never armed.
+// SimParStats returns the current engine statistics. All but Handoffs are
+// zero when run-ahead was never armed.
 func (e *Env) SimParStats() SimParStats {
 	return SimParStats{
 		Enabled:         e.simPar,
@@ -172,6 +184,7 @@ func (e *Env) SimParStats() SimParStats {
 		HorizonWaits:    e.statHorizonWaits,
 		Rounds:          e.statRounds,
 		ParkedEmits:     e.statParkedEmits,
+		Handoffs:        e.statHandoffs,
 	}
 }
 
@@ -709,10 +722,11 @@ func (e *Env) runPhase(members []event) {
 // dispatch. Recorded sleep targets take the in-place fast path or are
 // re-scheduled as the next phantom cursor under exactly the rules the
 // sequential Sleep would have applied at this point in the queue's
-// evolution. When the trajectory is exhausted the goroutine resumes at its
-// park point — or, for a body that returned in-phase, the process retires —
-// with the shared clock where the sequential engine would have put it.
-func (e *Env) replayStep(ev event) {
+// evolution. When the trajectory is exhausted it returns the process,
+// marked running, for the baton holder to resume at its park point — or,
+// for a body that returned in-phase, retires it — with the shared clock
+// where the sequential engine would have put it. Otherwise it returns nil.
+func (e *Env) replayStep(ev event) *Proc {
 	p := ev.proc
 	e.now = ev.at
 	for p.cursor < len(p.traj) {
@@ -726,13 +740,14 @@ func (e *Env) replayStep(ev event) {
 		}
 		e.seq++
 		e.queue.Push(event{at: t, seq: e.seq, proc: p, phantom: true})
-		return
+		return nil
 	}
 	if p.phaseDone {
 		p.phaseDone = false
 		p.state = stateDone
 		e.running--
-		return
+		return nil
 	}
-	e.step(event{at: e.now, proc: p})
+	p.state = stateRunning
+	return p
 }

@@ -22,10 +22,16 @@ func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOPREDECODE") != "" }
 // related primitives. Run drives the simulation until no runnable work
 // remains or a stop condition fires.
 //
-// Exactly one process goroutine executes at a time; the scheduler goroutine
-// and the running process hand control back and forth over unbuffered
-// channels, so the simulation is fully deterministic despite being built
-// from goroutines.
+// Exactly one goroutine holds the baton at a time: Run's goroutine or one
+// process's. A process that cedes control (a Sleep that must queue, a
+// Wait, or its body returning) runs the event loop on its own goroutine:
+// it fires due timers and advances phantom replays inline, then resumes
+// the next process directly, one goroutine switch, or keeps running with
+// no switch when the next resumption is its own. The baton goes back to
+// Run's goroutine only for a head event that can seed a run-ahead phase
+// (domain.go), the RunUntil deadline, an empty queue, or a panic to
+// re-raise. The queue alone orders events, so the simulation is fully
+// deterministic despite being built from goroutines.
 type Env struct {
 	now     Time
 	seq     uint64
@@ -41,8 +47,9 @@ type Env struct {
 
 	trace   *Trace
 	metrics *Metrics
-	panicV  any           // re-thrown panic from a process
-	yield   chan yieldMsg // handed a token each time the running process cedes control
+	yield   chan any // returns the baton to Run's goroutine, carrying a panic to re-raise or nil
+
+	statHandoffs uint64 // goroutine switches the baton took (see SimParStats.Handoffs)
 
 	// Conservative run-ahead (see domain.go). All zero/nil until
 	// EnableSimPar arms it; unarmed, the event loops consult nothing here
@@ -94,7 +101,7 @@ func NewEnv(opts ...EnvOption) *Env {
 	e := &Env{
 		trace:   NewTrace(0),
 		metrics: NewMetrics(),
-		yield:   make(chan yieldMsg),
+		yield:   make(chan any),
 		horizon: maxTime,
 		noFast:  FastPathsDisabled(),
 	}
@@ -225,9 +232,9 @@ func (p *Proc) Now() Time {
 }
 
 // Spawn registers a new process that starts at the current virtual time.
-// The body runs on its own goroutine but only while the scheduler has
-// granted it control. Spawn may be called before Run or from inside a
-// running process.
+// The body runs on its own goroutine but only while that goroutine holds
+// the baton. Spawn may be called before Run or from inside a running
+// process.
 func (e *Env) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{
 		env:    e,
@@ -263,82 +270,127 @@ func (e *Env) schedule(p *Proc, t Time) {
 	}
 }
 
-// yieldMsg is the token a process hands back to the scheduler when it
-// cedes control (by sleeping, waiting, or finishing).
-type yieldMsg struct{}
-
-// run starts or resumes a process and waits until it yields or finishes.
-func (e *Env) step(ev event) {
-	p := ev.proc
-	if p.state == stateDone {
-		return
-	}
-	// A process can have stale queue entries (e.g. it was woken by Signal
-	// before its Sleep timer fired). Only the entry that matches a
-	// runnable/new process may run; others are dropped by the state check
-	// in the callers that enqueue them. Here we simply run whatever is
-	// runnable.
-	if p.state == stateBlocked {
-		return // stale timer for a process that re-blocked
-	}
-	e.now = ev.at
-	p.state = stateRunning
-	if p.body != nil {
-		body := p.body
-		p.body = nil
-		go func() {
-			defer func() {
-				r := recover()
-				if p.inPhase {
-					// The body finished while running as a phase member;
-					// nobody is listening on e.yield until the phase joins.
-					// Report through the member's park slot instead and let
-					// the join do the state/running bookkeeping.
-					p.inPhase = false
-					e.phaseMsgs[p.phaseIdx] = parkMsg{kind: parkDone, pos: p.pNow, panicV: r}
-					e.phaseWG.Done()
-					return
-				}
-				if r != nil {
-					e.panicV = r
-				}
-				p.state = stateDone
-				e.running--
-				e.yield <- yieldMsg{}
-			}()
-			<-p.resume
-			body(p)
-		}()
-	}
-	p.resume <- struct{}{}
-	<-e.yield
-	if e.panicV != nil {
-		v := e.panicV
-		e.panicV = nil
-		panic(v)
+// next is the event loop, run by whichever goroutine holds the baton. It
+// pops and runs queued events inline — timer callbacks, phantom replay
+// steps, stale entries of blocked or finished processes — until the head
+// is a process to resume, which it returns marked running with the clock
+// at its wake time. It returns nil, popping nothing more, when only Run's
+// goroutine may go on: the queue is empty, the head lies past the RunUntil
+// deadline, or the head can seed a run-ahead phase. A stopped timer is
+// skipped without advancing the clock, so canceled timeouts never stretch
+// the simulated end time.
+func (e *Env) next() *Proc {
+	for {
+		h := e.queue.Head()
+		if h == nil || h.at > e.horizon || (e.simPar && phaseEligible(*h)) {
+			return nil
+		}
+		ev := e.queue.Pop()
+		switch {
+		case ev.timer != nil:
+			if t := ev.timer; !t.stopped {
+				e.now = ev.at
+				t.fired = true
+				t.fn()
+			}
+		case ev.phantom:
+			if p := e.replayStep(ev); p != nil {
+				return p
+			}
+		default:
+			// A process can have stale queue entries; only a runnable or
+			// new one may run.
+			if p := ev.proc; p.state != stateDone && p.state != stateBlocked {
+				e.now = ev.at
+				p.state = stateRunning
+				return p
+			}
+		}
 	}
 }
 
-// dispatch routes one popped event: timer expiries run their callback in
-// the scheduler's context; process resumptions go through step. A stopped
-// timer is skipped without advancing the clock, so canceled timeouts never
-// stretch the simulated end time.
-func (e *Env) dispatch(ev event) {
-	if ev.timer != nil {
-		t := ev.timer
-		if t.stopped {
-			return
+// resume hands the baton to p, starting its goroutine on its first
+// resumption.
+func (e *Env) resume(p *Proc) {
+	e.statHandoffs++
+	if p.body == nil {
+		p.resume <- struct{}{}
+		return
+	}
+	body := p.body
+	p.body = nil
+	go func() {
+		defer p.exit()
+		body(p)
+	}()
+}
+
+// pass hands the baton on from the goroutine of self, a process that has
+// just queued itself, blocked, or (self == nil) finished. It runs the
+// event loop here and resumes the next process directly, or returns the
+// baton to Run's goroutine, carrying any panic a timer callback raised.
+// It reports whether the next process is self, which then keeps running
+// with no goroutine switch; otherwise a live self must wait on its resume
+// channel.
+func (e *Env) pass(self *Proc) bool {
+	next, v := e.nextContained()
+	switch {
+	case next == nil:
+		e.statHandoffs++
+		e.yield <- v
+	case next == self:
+		return true
+	default:
+		e.resume(next)
+	}
+	return false
+}
+
+// nextContained is next with a panic recovered, so a timer callback that
+// panics on a process goroutine surfaces from Run: never inside the
+// process's body, which might recover it, and never, once the body has
+// returned and exit is already running, as a crash of the whole program.
+func (e *Env) nextContained() (next *Proc, panicV any) {
+	defer func() {
+		if r := recover(); r != nil {
+			next, panicV = nil, r
 		}
-		e.now = ev.at
-		t.fired = true
-		t.fn()
+	}()
+	return e.next(), nil
+}
+
+// exit, deferred by every process goroutine, retires the process when its
+// body returns or panics and passes the baton on. A panic goes straight
+// back to Run's goroutine to be re-raised.
+func (p *Proc) exit() {
+	r := recover()
+	e := p.env
+	if p.inPhase {
+		// The body finished while running as a phase member; Run's
+		// goroutine is waiting on the phase, not the baton. Report through
+		// the member's park slot instead and let the join do the
+		// state/running bookkeeping.
+		p.inPhase = false
+		e.phaseMsgs[p.phaseIdx] = parkMsg{kind: parkDone, pos: p.pNow, panicV: r}
+		e.phaseWG.Done()
 		return
 	}
-	if ev.phantom {
-		e.replayStep(ev)
+	p.state = stateDone
+	e.running--
+	if r != nil {
+		e.statHandoffs++
+		e.yield <- r
 		return
 	}
-	e.step(ev)
+	e.pass(nil)
+}
+
+// cede passes the baton on from the running process and returns once the
+// process is resumed.
+func (p *Proc) cede() {
+	if !p.env.pass(p) {
+		<-p.resume
+	}
 }
 
 // Run processes events until the queue is empty. It returns the final
@@ -347,12 +399,7 @@ func (e *Env) dispatch(ev event) {
 // to inspect that state.
 func (e *Env) Run() Time {
 	e.horizon = maxTime
-	for e.queue.Len() > 0 {
-		if e.simPar && e.tryPhase() {
-			continue
-		}
-		e.dispatch(e.queue.Pop())
-	}
+	e.drive()
 	return e.now
 }
 
@@ -360,16 +407,29 @@ func (e *Env) Run() Time {
 // setting the clock to the deadline if it ran dry earlier.
 func (e *Env) RunUntil(deadline Time) Time {
 	e.horizon = deadline
-	for e.queue.Len() > 0 && e.queue.Head().at <= deadline {
-		if e.simPar && e.tryPhase() {
-			continue
-		}
-		e.dispatch(e.queue.Pop())
-	}
+	e.drive()
 	if e.now < deadline {
 		e.now = deadline
 	}
 	return e.now
+}
+
+// drive is Run's goroutine's side of the baton: it resumes the next
+// process and waits for the baton to come back, and it forks and joins
+// run-ahead phases, which no process goroutine may do.
+func (e *Env) drive() {
+	for {
+		if p := e.next(); p != nil {
+			e.resume(p)
+			if v := <-e.yield; v != nil {
+				panic(v)
+			}
+			continue
+		}
+		if !e.simPar || !e.tryPhase() {
+			return
+		}
+	}
 }
 
 // Timer is a pending AfterFunc callback. Stop cancels it; a stopped timer
@@ -390,10 +450,10 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
-// AfterFunc schedules fn to run once, d from now, in the scheduler's
-// context (fn may Signal conditions, schedule processes, or Spawn, but has
-// no process of its own and must not sleep). The returned Timer cancels
-// the callback via Stop.
+// AfterFunc schedules fn to run once, d from now, on whichever goroutine
+// holds the baton when its event comes up (fn may Signal conditions,
+// schedule processes, or Spawn, but has no process of its own and must not
+// sleep). The returned Timer cancels the callback via Stop.
 func (e *Env) AfterFunc(d Duration, fn func()) *Timer {
 	if d < 0 {
 		d = 0
@@ -445,13 +505,13 @@ func (p *Proc) Sleep(d Duration) {
 	t := e.now.Add(d)
 	// Fast path: if no other event can possibly run before t (the queue is
 	// empty, or its earliest event is strictly later — a tie would win on
-	// seq), handing control to the scheduler would immediately hand it
-	// back to this process with the clock at t. Skip the two channel
-	// round-trips and advance the clock in place. Observable behavior —
-	// event order, virtual timestamps, metrics, traces — is identical; a
-	// running process is never in the queue, so nothing else can observe
-	// the intermediate state. The horizon check keeps RunUntil exact: a
-	// sleep crossing the deadline must park in the queue so the loop stops.
+	// seq), passing the baton on would pop this process's own entry
+	// straight back with the clock at t. Skip the queue push and pop and
+	// advance the clock in place. Observable behavior — event order,
+	// virtual timestamps, metrics, traces — is identical; a running
+	// process is never in the queue, so nothing else can observe the
+	// intermediate state. The horizon check keeps RunUntil exact: a sleep
+	// crossing the deadline must park in the queue so the loop stops.
 	if !e.noFast && t <= e.horizon {
 		if h := e.queue.Head(); h == nil || t < h.at {
 			e.now = t
@@ -459,9 +519,7 @@ func (p *Proc) Sleep(d Duration) {
 		}
 	}
 	e.schedule(p, t)
-	p.state = stateRunnable
-	e.yield <- yieldMsg{}
-	<-p.resume
+	p.cede()
 }
 
 // Yield cedes control so that other processes scheduled at the current
@@ -537,8 +595,7 @@ func (p *Proc) Wait(c *Cond) {
 	c.waiters = append(c.waiters, p)
 	p.state = stateBlocked
 	p.waitOn = c
-	p.env.yield <- yieldMsg{}
-	<-p.resume
+	p.cede()
 	p.waitOn = nil
 }
 

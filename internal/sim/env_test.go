@@ -230,6 +230,75 @@ func TestProcessPanicPropagates(t *testing.T) {
 	env.Run()
 }
 
+// A timer callback fires on whichever goroutine holds the baton. When that
+// is a process passing the baton on, a panic in the callback must still
+// surface from Run with its original value, whether the process is
+// sleeping, waiting on a Cond, or has just returned from its body.
+func TestTimerPanicWhilePassingBaton(t *testing.T) {
+	type boom struct{ name string }
+	for _, tc := range []struct {
+		name string
+		body func(*Proc, *Cond)
+	}{
+		{"sleep", func(p *Proc, _ *Cond) { p.Sleep(10 * Nanosecond) }},
+		{"wait", func(p *Proc, c *Cond) { p.Wait(c) }},
+		{"exit", func(*Proc, *Cond) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := &boom{tc.name}
+			env := NewEnv()
+			c := env.NewCond("never")
+			env.Spawn("p", func(p *Proc) {
+				env.AfterFunc(5*Nanosecond, func() { panic(want) })
+				tc.body(p, c)
+			})
+			defer func() {
+				if r := recover(); r != want {
+					t.Errorf("Run panicked with %v, want %v", r, want)
+				}
+			}()
+			env.Run()
+		})
+	}
+}
+
+// Each queued sleep costs one goroutine handoff, not two: the sleeping
+// process resumes the next one directly. A process that is itself the next
+// resumption costs none.
+func TestHandoffsPerResumption(t *testing.T) {
+	const n = 100
+	env := NewEnv()
+	for _, name := range []string{"ping", "pong"} {
+		env.Spawn(name, func(p *Proc) {
+			for i := 0; i < n; i++ {
+				p.Sleep(Nanosecond)
+			}
+		})
+	}
+	env.Run()
+	// Beyond one handoff per sleep: Run starting ping, ping's exit
+	// resuming pong, and pong's exit returning the baton to Run.
+	if got, want := env.SimParStats().Handoffs, uint64(2*n+3); got != want {
+		t.Errorf("%d lockstep sleeps took %d handoffs, want %d", 2*n, got, want)
+	}
+
+	env = NewEnv()
+	var during uint64
+	env.Spawn("waiter", func(p *Proc) {
+		c := env.NewCond("wake")
+		h := env.SimParStats().Handoffs
+		for i := 0; i < n; i++ {
+			env.AfterFunc(Nanosecond, c.Signal)
+			p.Wait(c)
+		}
+		during = env.SimParStats().Handoffs - h
+	})
+	env.Run()
+	if during != 0 {
+		t.Errorf("%d timer-signaled waits with nothing else runnable took %d handoffs, want 0", n, during)
+	}
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
 	env := NewEnv()
 	c := env.NewCond("c")

@@ -345,9 +345,10 @@ func TestEnableSimParRefusals(t *testing.T) {
 }
 
 // TestSimParStatsAccounting checks that phases, members, and horizon waits
-// are counted, and that a sequential run reports all zeros (the stats must
-// never leak into the byte-identical artifacts, so they live outside the
-// metrics registry — this test documents that they still exist and move).
+// are counted, and that a sequential run reports no phase activity (the
+// stats must never leak into the byte-identical artifacts, so they live
+// outside the metrics registry — this test documents that they still
+// exist and move).
 func TestSimParStatsAccounting(t *testing.T) {
 	const lookahead = 825 * Nanosecond
 	s := drawSimParSchedule(3, 4, lookahead)

@@ -148,8 +148,8 @@ func RunTraffic(cfg TrafficConfig) (traffic.Result, error) {
 		return traffic.Result{}, err
 	}
 
-	// Admit each task at its scheduled virtual time. The timer callbacks
-	// run in scheduler context in (time, seq) order — seq is assigned here
+	// Admit each task at its scheduled virtual time. The event loop runs
+	// the timer callbacks in (time, seq) order — seq is assigned here
 	// in schedule order — so admission order is deterministic even for
 	// coincident arrivals.
 	env := sys.Machine.Env
