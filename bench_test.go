@@ -403,10 +403,10 @@ func BenchmarkSchedulerSpeedup(b *testing.B) {
 // throughput in simulated instructions per wall second: the same
 // multi-board scale-out workload at growing board counts, on the default
 // (run-ahead) engine. Virtual-time results are byte-identical to the
-// reference engine (TestSimParDifferentialScaleOut); what the run-ahead
-// phases buy is how fast the simulator chews through board instructions
-// once several boards compute at the same virtual time, and on a
-// multi-core host each board's compute windows also run concurrently.
+// reference engine (TestSimParDifferentialScaleOut); what run-ahead
+// windows buy is how fast the simulator chews through board instructions
+// once several boards compute at the same virtual time. Simulation code
+// runs on one goroutine at a time, so extra host cores do not speed it up.
 func BenchmarkScaleOutThroughput(b *testing.B) {
 	for _, boards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("boards=%d", boards), func(b *testing.B) {
@@ -427,9 +427,8 @@ func BenchmarkScaleOutThroughput(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim-instr/s")
-			// Phase-batching ratio: fewer, fatter phases per instruction is
-			// the whole point of the round-extended scheduler. Reported per
-			// million simulated instructions so the number stays readable.
+			// Run-ahead windows opened per million simulated instructions:
+			// fewer, longer windows mean fewer replays and handoffs.
 			if instr > 0 {
 				b.ReportMetric(float64(phases)/(float64(instr)/1e6), "phases/Minstr")
 			}

@@ -13,6 +13,11 @@
 // (a new BenchmarkCoreStep sub-benchmark) does not break CI until the
 // baseline is refreshed with `make bench-hotloop`.
 //
+// Captures may repeat each benchmark (`go test -count N`). Every result
+// line is kept, and each metric is gated on its median across the lines
+// of its capture, so one run slowed by a noisy host neither fails the gate
+// nor, in the baseline, loosens it.
+//
 // Three kinds of metric are gated, per benchmark, when present in both
 // captures:
 //
@@ -62,6 +67,22 @@ const allocSlack = 16.0
 // "sim-instr/s", ...).
 type bench map[string]float64
 
+// runs holds every result line of one benchmark: each unit's values in
+// capture order.
+type runs map[string][]float64
+
+// median reduces each unit to the median of its values (the mean of the
+// two middle values for an even count).
+func (r runs) median() bench {
+	m := bench{}
+	for unit, vs := range r {
+		s := append([]float64(nil), vs...)
+		sort.Float64s(s)
+		m[unit] = (s[(len(s)-1)/2] + s[len(s)/2]) / 2
+	}
+	return m
+}
+
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
@@ -99,13 +120,15 @@ func run(args []string) int {
 
 	failed, missing := false, false
 	for _, name := range names {
-		was := base[name]
-		now, ok := cur[name]
+		was := base[name].median()
+		curRuns, ok := cur[name]
 		if !ok {
 			fmt.Printf("MISSING  %-44s baseline %s, absent from current run\n", name, formatMetric(was["ns/op"], "ns/op"))
 			missing = true
 			continue
 		}
+		now := curRuns.median()
+		counts := fmt.Sprintf("medians of %d/%d runs", len(base[name]["ns/op"]), len(curRuns["ns/op"]))
 		units := make([]string, 0, len(was))
 		for unit := range was {
 			units = append(units, unit)
@@ -128,15 +151,15 @@ func run(args []string) int {
 			if b != 0 {
 				delta = (c - b) / b * 100
 			}
-			fmt.Printf("%s %-44s %s -> %s  (%+.1f%%, limit %.0f%%)\n",
+			fmt.Printf("%s %-44s %s -> %s  (%+.1f%%, limit %.0f%%, %s)\n",
 				verdict, name+" "+unit, formatMetric(b, unit), formatMetric(c, unit),
-				delta, *threshold*100)
+				delta, *threshold*100, counts)
 		}
 	}
 	for name := range cur {
 		if _, ok := base[name]; !ok {
 			fmt.Printf("NEW      %-44s %s (not in baseline; refresh with `make bench-hotloop`)\n",
-				name, formatMetric(cur[name]["ns/op"], "ns/op"))
+				name, formatMetric(cur[name].median()["ns/op"], "ns/op"))
 		}
 	}
 	if missing {
@@ -183,11 +206,11 @@ func formatMetric(v float64, unit string) string {
 	return fmt.Sprintf("%11.2f %s", v, unit)
 }
 
-// readBench parses a `go test -json` stream and returns per-benchmark
-// metric maps keyed by benchmark name. test2json splits a single result
-// line across several Output records, so the records are concatenated per
-// package before the result regexp runs.
-func readBench(path string) (map[string]bench, error) {
+// readBench parses a `go test -json` stream and returns every result line
+// of each benchmark, keyed by benchmark name. test2json splits a single
+// result line across several Output records, so the records are
+// concatenated per package before the result regexp runs.
+func readBench(path string) (map[string]runs, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -224,15 +247,11 @@ func readBench(path string) (map[string]bench, error) {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
 
-	out := make(map[string]bench)
+	out := make(map[string]runs)
 	for _, b := range text {
 		for _, m := range lineRE.FindAllStringSubmatch(b.String(), -1) {
 			name, rest := m[1], m[2]
-			metrics := out[name]
-			if metrics == nil {
-				metrics = bench{}
-				out[name] = metrics
-			}
+			metrics := bench{}
 			for _, mm := range metricRE.FindAllStringSubmatch(rest, -1) {
 				v, err := strconv.ParseFloat(mm[1], 64)
 				if err != nil {
@@ -242,6 +261,14 @@ func readBench(path string) (map[string]bench, error) {
 			}
 			if _, ok := metrics["ns/op"]; !ok {
 				return nil, fmt.Errorf("%s: result line for %s has no ns/op", path, name)
+			}
+			r := out[name]
+			if r == nil {
+				r = runs{}
+				out[name] = r
+			}
+			for unit, v := range metrics {
+				r[unit] = append(r[unit], v)
 			}
 		}
 	}

@@ -15,20 +15,33 @@ import (
 // callers always include it.
 func capture(t *testing.T, path string, results map[string]bench) string {
 	t.Helper()
+	repeated := make(map[string][]bench, len(results))
+	for name, metrics := range results {
+		repeated[name] = []bench{metrics}
+	}
+	return captureRuns(t, path, repeated)
+}
+
+// captureRuns is capture for a `go test -count N` stream: every benchmark
+// gets one result line per entry of its list, in order.
+func captureRuns(t *testing.T, path string, results map[string][]bench) string {
+	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for name, metrics := range results {
-		fmt.Fprintf(f, `{"Action":"output","Package":"p","Output":"%s         \t"}`+"\n", name)
-		line := fmt.Sprintf("1000\\t        %.2f ns/op", metrics["ns/op"])
-		for _, unit := range []string{"B/op", "allocs/op", "sim-instr/s", "phases/Minstr"} {
-			if v, ok := metrics[unit]; ok {
-				line += fmt.Sprintf("\\t       %.2f %s", v, unit)
+	for name, lines := range results {
+		for _, metrics := range lines {
+			fmt.Fprintf(f, `{"Action":"output","Package":"p","Output":"%s         \t"}`+"\n", name)
+			line := fmt.Sprintf("1000\\t        %.2f ns/op", metrics["ns/op"])
+			for _, unit := range []string{"B/op", "allocs/op", "sim-instr/s", "phases/Minstr"} {
+				if v, ok := metrics[unit]; ok {
+					line += fmt.Sprintf("\\t       %.2f %s", v, unit)
+				}
 			}
+			fmt.Fprintf(f, `{"Action":"output","Package":"p","Output":"%s\n"}`+"\n", line)
 		}
-		fmt.Fprintf(f, `{"Action":"output","Package":"p","Output":"%s\n"}`+"\n", line)
 	}
 	return path
 }
@@ -61,6 +74,42 @@ func TestRegressionFails(t *testing.T) {
 	})
 	if code := run([]string{base, cur}); code != 1 {
 		t.Errorf("exit = %d, want 1", code)
+	}
+}
+
+// Repeated result lines are gated on their median: one outlier run that
+// fails the gate on its own passes once the other runs outvote it, while
+// a regression in most runs still fails.
+func TestMedianAbsorbsOutlier(t *testing.T) {
+	dir := t.TempDir()
+	const name = "BenchmarkTimerWake"
+	base := captureRuns(t, filepath.Join(dir, "base.json"), map[string][]bench{
+		name: {nsOnly(200), nsOnly(190), nsOnly(260), nsOnly(205), nsOnly(195)}, // median 200
+	})
+	outlier := nsOnly(250) // +25%: fails on its own
+	single := captureRuns(t, filepath.Join(dir, "single.json"), map[string][]bench{name: {outlier}})
+	if code := run([]string{base, single}); code != 1 {
+		t.Errorf("single outlier run: exit = %d, want 1", code)
+	}
+	repeated := captureRuns(t, filepath.Join(dir, "repeated.json"), map[string][]bench{
+		name: {nsOnly(205), outlier, nsOnly(210), nsOnly(198), nsOnly(202)}, // median 205
+	})
+	if code := run([]string{base, repeated}); code != 0 {
+		t.Errorf("outlier among typical runs: exit = %d, want 0", code)
+	}
+	slow := captureRuns(t, filepath.Join(dir, "slow.json"), map[string][]bench{
+		name: {nsOnly(240), nsOnly(195), nsOnly(250), nsOnly(245), nsOnly(200)}, // median 240
+	})
+	if code := run([]string{base, slow}); code != 1 {
+		t.Errorf("regression in most runs: exit = %d, want 1", code)
+	}
+}
+
+// An even number of runs gates on the mean of the two middle values.
+func TestMedianOfEvenCount(t *testing.T) {
+	got := runs{"ns/op": {10, 40, 20, 30}}.median()["ns/op"]
+	if got != 25 {
+		t.Errorf("median of 10,40,20,30 = %v, want 25", got)
 	}
 }
 
@@ -206,10 +255,11 @@ func TestScientificNotationParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := got["BenchmarkScaleOutThroughput/boards=1"]
-	if m == nil {
+	r := got["BenchmarkScaleOutThroughput/boards=1"]
+	if r == nil {
 		t.Fatalf("benchmark name not found in %v", got)
 	}
+	m := r.median()
 	if m["sim-instr/s"] != 1.77e+07 {
 		t.Errorf("sim-instr/s = %v, want 1.77e+07", m["sim-instr/s"])
 	}

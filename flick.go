@@ -257,7 +257,7 @@ func (s *System) Now() sim.Time { return s.Machine.Env.Now() }
 // every platform component registered into, plus the recorded event trace.
 func (s *System) Report() sim.Report { return s.Machine.Env.Report() }
 
-// SimParStats returns the event engine's bookkeeping: run-ahead phase
+// SimParStats returns the event engine's bookkeeping: run-ahead window
 // counts (zero when it never armed) and goroutine handoffs. Deliberately
 // separate from Report: the Report is byte-identical between the fast and
 // the reference engine, while these stats describe how the engine got

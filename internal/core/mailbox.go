@@ -111,7 +111,7 @@ type Mailbox struct {
 	fail failFn
 
 	// descBuf is the scratch buffer for untimed descriptor peeks. All
-	// mailbox routing runs under the sequential engine (phase members park
+	// mailbox routing runs under the sequential engine (run-ahead windows end
 	// before touching shared state), and every user fills and consumes it
 	// without an intervening yield, so one buffer per mailbox keeps these
 	// hot paths allocation-free.

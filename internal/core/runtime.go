@@ -279,18 +279,13 @@ type Runtime struct {
 	board  map[*cpu.Core]*boardState
 	states []*boardState
 
-	// hostStats holds the host-side migration counters (n2h calls, NX
-	// faults); each board's h2n counter lives in its boardState shard.
-	// Sharding keeps every counter single-writer — host-side paths run on
-	// host processes, each board's scheduler loop on that board's process
-	// — so the counters stay race-free under conservative parallel
-	// execution without any hot-path synchronization. Stats() merges the
-	// shards in deterministic build order.
-	hostStats Stats
+	// stats holds the migration counters. Only the goroutine holding the
+	// simulation's baton runs, so every path may bump them directly.
+	stats Stats
 
 	// descBuf is the scratch buffer for the timed descriptor accesses
 	// below. They all run under the sequential engine (descriptor traffic
-	// is a phase sync point), and each helper charges its Sleep — the only
+	// is a run-ahead sync point), and each helper charges its Sleep — the only
 	// yield point — before filling the buffer, so one buffer per runtime
 	// keeps the migration hot path allocation-free.
 	descBuf [DescSize]byte
@@ -311,9 +306,6 @@ type boardState struct {
 	// schedCtx is the scheduler loop's reusable top-level call context,
 	// reset before each migrated-in call.
 	schedCtx *cpu.Context
-	// stats is this board's shard of the runtime counters (only H2NCalls
-	// is board-side today); see Runtime.hostStats.
-	stats Stats
 }
 
 // Activate installs the Flick runtime onto a machine with a loaded
@@ -458,7 +450,7 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 	}
 	m.Kernel.SetMigrationRedirect(func(t *kernel.Task, f *cpu.Fault) (uint64, bool) {
 		if target, ok := prog.Image.TextISA(f.VA); ok && registered[target] {
-			rt.hostStats.NXFaults++
+			rt.stats.NXFaults++
 			return rt.hostHandlerVA, true
 		}
 		return 0, false
@@ -474,12 +466,11 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 	}
 
 	// Publish the runtime's migration counters. Gauge-based over the stats
-	// the runtime already maintains, so the call paths stay untouched;
-	// the gauges merge the per-board shards only at snapshot time.
+	// the runtime already maintains, so the call paths stay untouched.
 	reg := m.Env.Metrics()
-	reg.Gauge("flick.h2n_calls", func() uint64 { return uint64(rt.Stats().H2NCalls) })
-	reg.Gauge("flick.n2h_calls", func() uint64 { return uint64(rt.Stats().N2HCalls) })
-	reg.Gauge("flick.nx_faults", func() uint64 { return uint64(rt.Stats().NXFaults) })
+	reg.Gauge("flick.h2n_calls", func() uint64 { return uint64(rt.stats.H2NCalls) })
+	reg.Gauge("flick.n2h_calls", func() uint64 { return uint64(rt.stats.N2HCalls) })
+	reg.Gauge("flick.nx_faults", func() uint64 { return uint64(rt.stats.NXFaults) })
 	return rt, nil
 }
 
@@ -493,19 +484,8 @@ func hasTextISA(prog *kernel.Program, is isa.ISA) bool {
 	return false
 }
 
-// Stats returns the migration counters, merged from the host-side shard
-// and the per-board shards in build order. The merge is pure addition of
-// integers, so any shard ordering yields the same totals; build order is
-// fixed anyway to keep the rule simple.
-func (rt *Runtime) Stats() Stats {
-	s := rt.hostStats
-	for _, st := range rt.states {
-		s.H2NCalls += st.stats.H2NCalls
-		s.N2HCalls += st.stats.N2HCalls
-		s.NXFaults += st.stats.NXFaults
-	}
-	return s
-}
+// Stats returns the migration counters.
+func (rt *Runtime) Stats() Stats { return rt.stats }
 
 // SetPIODescriptors switches descriptor transport from the single-burst
 // DMA to programmed I/O, the ablation of §IV-B1's design choice.
@@ -554,7 +534,7 @@ func (rt *Runtime) schedulerLoop(p *sim.Proc, st *boardState) {
 			rt.M.Env.Emit(sim.Event{Comp: core.Name(), Kind: sim.KindSched, Aux: uint64(d.PID), Note: "unexpected descriptor at top level"})
 			continue
 		}
-		st.stats.H2NCalls++
+		rt.stats.H2NCalls++
 		rt.M.Env.Emit(sim.Event{Comp: core.Name(), Kind: sim.KindMigrate, Addr: d.Target, Aux: uint64(d.PID), Note: "h2n"})
 		p.Sleep(rt.Costs.NxPContextSwitch)
 		// One context per board scheduler, reset per call. Nothing retains

@@ -80,15 +80,15 @@ type Config struct {
 	// stale-TLB recovery paths.
 	SpuriousFault func() bool
 	// PhaseDomain, when nonzero, brackets every Call window with
-	// Proc.BeginCompute(PhaseDomain)/EndCompute, making the core eligible
-	// for run-ahead phases (see internal/sim/domain.go and
+	// Proc.BeginCompute(PhaseDomain)/EndCompute, letting the core run
+	// ahead in run-ahead windows (see internal/sim/domain.go and
 	// docs/SCALING.md). The platform sets it to 1+board index on every
 	// board core; host cores leave it zero.
 	PhaseDomain int
 	// PhaseLocal reports whether a physical address belongs to the core's
-	// own domain (its board-local DDR/BRAM). While the core runs inside a
-	// phase, accesses to addresses outside this predicate park the core
-	// back under sequential scheduling first. Nil means nothing is local.
+	// own domain (its board-local DDR/BRAM). While the core runs ahead in
+	// a window, accesses to addresses outside this predicate end the
+	// window first. Nil means nothing is local.
 	PhaseLocal func(pa uint64) bool
 }
 
@@ -228,12 +228,12 @@ func (c *Core) execOK(f paging.Flags) bool {
 	return f.NX == c.cfg.ExecNX
 }
 
-// phaseGuard keeps run-ahead phases honest: a core running as a phase
-// member may only touch physical memory its own domain owns. Any other
-// address — host DRAM, another board's BAR window, MMIO registers — parks
-// the core back to sequential execution first, so the access is ordered
-// against the rest of the machine exactly as it would be on the reference
-// engine. Outside a phase this is one predicate call at most.
+// phaseGuard keeps run-ahead windows honest: a core running ahead may
+// only touch physical memory its own domain owns. Any other address —
+// host DRAM, another board's BAR window, MMIO registers — ends the window
+// first, so the access is ordered against the rest of the machine exactly
+// as it would be on the reference engine. Outside a window this is one
+// predicate call at most.
 func (c *Core) phaseGuard(p *sim.Proc, pa uint64) {
 	if p.InPhase() && (c.cfg.PhaseLocal == nil || !c.cfg.PhaseLocal(pa)) {
 		p.PhaseSync()
@@ -288,8 +288,8 @@ func (c *Core) fetch(p *sim.Proc) (uint64, *Fault) {
 // only valid until the next fetch and allocates nothing.
 func (c *Core) fetchBytes(p *sim.Proc, phys uint64) ([]byte, *Fault) {
 	// Code reads (and the superblock build + code-watch marking that
-	// follow on the cold path) may touch the backing store; inside a phase
-	// they must come from domain-local memory.
+	// follow on the cold path) may touch the backing store; inside a
+	// run-ahead window they must come from domain-local memory.
 	c.phaseGuard(p, phys)
 	pc := c.ctx.PC
 	max := uint64(c.codec.MaxLen())

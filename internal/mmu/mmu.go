@@ -109,11 +109,11 @@ func (m *MMU) Translate(p *sim.Proc, va uint64) (tlb.Result, error) {
 	}
 	if p != nil {
 		// The table walk reads shared page tables the kernel mutates
-		// (migration remaps, shootdowns); a conservative-parallel phase
-		// member must fall back to sequential ordering before walking. The
-		// call also bars the rest of the compute window from phase
-		// membership, so the walk-cost Sleep below cannot be forked into a
-		// phase between the walk and the Accessed-bit update.
+		// (migration remaps, shootdowns); a run-ahead window must end,
+		// falling back to sequential ordering, before walking. The call
+		// also bars the rest of the compute window from run-ahead, so no
+		// window can open after the walk-cost Sleep below, between the
+		// walk and the Accessed-bit update.
 		p.PhaseSync()
 	}
 	w, err := m.tables.Walk(va)

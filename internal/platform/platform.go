@@ -679,13 +679,13 @@ func (m *Machine) buildCores() {
 
 // phaseDomain is the run-ahead domain tag for a board's cores: 1 + board
 // index. Both board-0 cores (NxP and DSP) share domain 1: same-domain
-// cores share memory with zero latency, and the phase scheduler keeps
-// same-domain processes strictly sequential with each other. On a machine
+// cores share memory with zero latency, and run-ahead keeps same-domain
+// processes strictly sequential with each other. On a machine
 // whose engine never arms, the tags are never consulted.
 func phaseDomain(boardIdx int) int { return 1 + boardIdx }
 
 // phaseLocal builds the domain-ownership predicate for a board's cores:
-// the physical addresses (in the shared NxP view) a phase member may touch
+// the physical addresses (in the shared NxP view) a run-ahead window may touch
 // without leaving its domain. That is the board's own DDR plus its own
 // BRAM above the mailbox carve — the mailbox rings are written by the host
 // and the DMA engine, so they stay outside every domain, as do the

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync"
 )
 
 // FastPathsDisabled reports whether FLICKSIM_NOPREDECODE selects the
@@ -27,11 +26,12 @@ func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOPREDECODE") != "" }
 // Wait, or its body returning) runs the event loop on its own goroutine:
 // it fires due timers and advances phantom replays inline, then resumes
 // the next process directly, one goroutine switch, or keeps running with
-// no switch when the next resumption is its own. The baton goes back to
-// Run's goroutine only for a head event that can seed a run-ahead phase
-// (domain.go), the RunUntil deadline, an empty queue, or a panic to
-// re-raise. The queue alone orders events, so the simulation is fully
-// deterministic despite being built from goroutines.
+// no switch when the next resumption is its own. A board process the loop
+// pops may run ahead in a window (domain.go), still as the one goroutine
+// holding the baton. The baton goes back to Run's goroutine only for the
+// RunUntil deadline, an empty queue, or a panic to re-raise. The queue
+// alone orders events, so the simulation is fully deterministic despite
+// being built from goroutines.
 type Env struct {
 	now     Time
 	seq     uint64
@@ -51,33 +51,15 @@ type Env struct {
 
 	statHandoffs uint64 // goroutine switches the baton took (see SimParStats.Handoffs)
 
-	// Conservative run-ahead (see domain.go). All zero/nil until
-	// EnableSimPar arms it; unarmed, the event loops consult nothing here
-	// beyond the single e.simPar branch.
+	// Conservative run-ahead (see domain.go). All zero until EnableSimPar
+	// arms it; unarmed, the event loop consults nothing here beyond the
+	// single e.simPar branch.
 	simPar           bool
 	domains          int
 	lookahead        Duration
 	statPhases       uint64
-	statMembers      uint64
-	statSingletons   uint64
 	statHorizonWaits uint64
-	statRounds       uint64
 	statParkedEmits  uint64
-
-	// Phase scratch, preallocated once by EnableSimPar and reused by every
-	// phase so the fork/join hot path allocates nothing: member entries,
-	// per-member park slots and round states, and the queue-derived horizon
-	// bounds computed once per phase (see scanPhaseBounds). phaseWG is the
-	// members' handoff back to the scheduler: each member writes its own
-	// phaseMsgs slot and calls Done, replacing the old per-park channel
-	// rendezvous.
-	phaseMembers []event
-	phaseMsgs    []parkMsg
-	phaseState   []uint8
-	phaseWG      sync.WaitGroup
-	qbTagged     []taggedBound
-	qbOther      Time
-	qbAll        Time
 }
 
 // maxTime is the largest representable virtual time, used as the "no
@@ -156,9 +138,10 @@ func (e *Env) Report() Report {
 }
 
 // event is a scheduled resumption of a process, or a timer expiry when
-// timer is non-nil. A phantom event is the replay cursor of a parked phase
-// member (see domain.go): dispatching it replays the member's recorded
-// sleep trajectory through the queue instead of resuming the goroutine.
+// timer is non-nil. A phantom event is the replay cursor of a process whose
+// run-ahead window ended (see domain.go): dispatching it replays the
+// window's recorded sleep trajectory through the queue instead of resuming
+// the goroutine.
 type event struct {
 	at      Time
 	seq     uint64
@@ -194,19 +177,20 @@ type Proc struct {
 
 	// Conservative run-ahead state (see domain.go). domain and
 	// computeDepth are maintained by BeginCompute/EndCompute whether or
-	// not run-ahead is armed; the rest is live only while inPhase.
+	// not run-ahead is armed; pNow, pHorizon and pStrict are live only
+	// while inPhase, traj and cursor until the replay has run out.
 	domain       int
 	computeDepth int
-	inPhase      bool
-	phaseBarred  bool      // parked at a sync point; sequential until the next compute window
-	phaseDone    bool      // body returned in-phase; retire after the trajectory replays
-	pNow         Time      // private clock while running as a phase member
-	pHorizon     Time      // conservative bound on pNow for this phase
-	pStrict      Time      // no-slack bound: in-phase TrySleepInPlace may not cross it
-	phaseIdx     int       // member index within the current phase
-	traj         []Time    // private-clock sleep targets recorded this phase, for deferred replay
-	cursor       int       // replay position within traj
-	phaseCmd     chan bool // scheduler's round decision for a horizon-parked member: extend or join
+	inPhase      bool   // running ahead in a window on the private clock
+	phaseBarred  bool   // stopped at a sync point; sequential until the next compute window
+	phaseDone    bool   // body returned in its window; retire after the trajectory replays
+	pNow         Time   // private clock while in a window
+	pHorizon     Time   // conservative bound on pNow for this window
+	pStrict      Time   // no-slack bound: in-window TrySleepInPlace may not cross it
+	pStart       Time   // the window's original queue entry, restored as
+	pSeq         uint64 // the phantom replay cursor when the window ends
+	traj         []Time // private-clock sleep targets recorded this window, for deferred replay
+	cursor       int    // replay position within traj
 }
 
 // Name returns the process name given at Spawn time.
@@ -223,7 +207,7 @@ func (p *Proc) SetDaemon(v bool) { p.daemon = v }
 func (p *Proc) Env() *Env { return p.env }
 
 // Now returns the current virtual time: the process's private clock while
-// it runs as a phase member, the shared clock otherwise.
+// it runs ahead in a window, the shared clock otherwise.
 func (p *Proc) Now() Time {
 	if p.inPhase {
 		return p.pNow
@@ -274,15 +258,15 @@ func (e *Env) schedule(p *Proc, t Time) {
 // pops and runs queued events inline — timer callbacks, phantom replay
 // steps, stale entries of blocked or finished processes — until the head
 // is a process to resume, which it returns marked running with the clock
-// at its wake time. It returns nil, popping nothing more, when only Run's
-// goroutine may go on: the queue is empty, the head lies past the RunUntil
-// deadline, or the head can seed a run-ahead phase. A stopped timer is
-// skipped without advancing the clock, so canceled timeouts never stretch
-// the simulated end time.
+// at its wake time, in a run-ahead window if one opens for it. It returns
+// nil, popping nothing more, when only Run's goroutine may go on: the
+// queue is empty or the head lies past the RunUntil deadline. A stopped
+// timer is skipped without advancing the clock, so canceled timeouts never
+// stretch the simulated end time.
 func (e *Env) next() *Proc {
 	for {
 		h := e.queue.Head()
-		if h == nil || h.at > e.horizon || (e.simPar && phaseEligible(*h)) {
+		if h == nil || h.at > e.horizon {
 			return nil
 		}
 		ev := e.queue.Pop()
@@ -302,6 +286,9 @@ func (e *Env) next() *Proc {
 			// new one may run.
 			if p := ev.proc; p.state != stateDone && p.state != stateBlocked {
 				e.now = ev.at
+				if e.simPar && p.tagged() {
+					e.openWindow(ev)
+				}
 				p.state = stateRunning
 				return p
 			}
@@ -361,20 +348,19 @@ func (e *Env) nextContained() (next *Proc, panicV any) {
 
 // exit, deferred by every process goroutine, retires the process when its
 // body returns or panics and passes the baton on. A panic goes straight
-// back to Run's goroutine to be re-raised.
+// back to Run's goroutine to be re-raised. A body that returns inside its
+// run-ahead window retires through the replay instead, so its last sleeps
+// still consume the sequence numbers they would have sequentially.
 func (p *Proc) exit() {
 	r := recover()
 	e := p.env
-	if p.inPhase {
-		// The body finished while running as a phase member; Run's
-		// goroutine is waiting on the phase, not the baton. Report through
-		// the member's park slot instead and let the join do the
-		// state/running bookkeeping.
-		p.inPhase = false
-		e.phaseMsgs[p.phaseIdx] = parkMsg{kind: parkDone, pos: p.pNow, panicV: r}
-		e.phaseWG.Done()
+	if p.inPhase && r == nil {
+		p.phaseDone = true
+		p.leaveWindow()
+		e.pass(nil)
 		return
 	}
+	p.inPhase = false
 	p.state = stateDone
 	e.running--
 	if r != nil {
@@ -415,19 +401,12 @@ func (e *Env) RunUntil(deadline Time) Time {
 }
 
 // drive is Run's goroutine's side of the baton: it resumes the next
-// process and waits for the baton to come back, and it forks and joins
-// run-ahead phases, which no process goroutine may do.
+// process and waits for the baton to come back.
 func (e *Env) drive() {
-	for {
-		if p := e.next(); p != nil {
-			e.resume(p)
-			if v := <-e.yield; v != nil {
-				panic(v)
-			}
-			continue
-		}
-		if !e.simPar || !e.tryPhase() {
-			return
+	for p := e.next(); p != nil; p = e.next() {
+		e.resume(p)
+		if v := <-e.yield; v != nil {
+			panic(v)
 		}
 	}
 }
@@ -484,21 +463,22 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	if p.inPhase {
-		// Phase member: advance the private clock without touching the
-		// shared queue, recording the target so the join can replay this
-		// trajectory through the real queue with the exact sequence numbers
-		// the sequential engine would have assigned (see domain.go).
-		// Crossing the horizon parks the member; the scheduler then either
-		// extends the phase with a horizon that covers the target (the
-		// member resumes in-phase) or joins the phase (the member resumes
-		// sequentially with the shared clock at the sleep target). Filling
-		// the trajectory's last slot parks it the same way, and the
-		// scheduler never extends a full member.
+		// Run-ahead window: advance the private clock without touching the
+		// shared queue, recording the target so the replay can push this
+		// trajectory through the real queue with the exact sequence
+		// numbers the sequential engine would have assigned (see
+		// domain.go). A target past the horizon, or one filling the
+		// trajectory's last slot, ends the window; the process resumes
+		// sequentially once the replay leaves the shared clock at the
+		// target.
 		t := p.pNow.Add(d)
 		p.traj = append(p.traj, t)
-		if (t <= p.pHorizon && len(p.traj) < cap(p.traj)) || p.phaseWaitSleep(t) {
+		if t <= p.pHorizon && len(p.traj) < cap(p.traj) {
 			p.pNow = t
+			return
 		}
+		p.env.statHorizonWaits++
+		p.endWindow()
 		return
 	}
 	e := p.env
@@ -548,10 +528,10 @@ func (p *Proc) TrySleepInPlace(d Duration) bool {
 	if p.inPhase {
 		// The strict no-slack bound guarantees every constituent Sleep
 		// would take the sequential in-place fast path at replay time too,
-		// so an in-phase merge happens exactly when the sequential engine
+		// so an in-window merge happens exactly when the sequential engine
 		// would also have merged (and consumed no sequence numbers). Beyond
 		// it, or with one trajectory slot left, the caller falls back to
-		// per-step Sleeps, which record or park individually.
+		// per-step Sleeps, which record or end the window individually.
 		t := p.pNow.Add(d)
 		if t <= p.pStrict && len(p.traj) < cap(p.traj)-1 {
 			p.traj = append(p.traj, t)
@@ -591,7 +571,7 @@ func (p *Proc) Wait(c *Cond) {
 	if c.env != p.env {
 		panic("sim: Wait on a Cond from a different Env")
 	}
-	p.PhaseSync() // conditions are shared state; a phase member parks first
+	p.PhaseSync() // conditions are shared state; a run-ahead window ends first
 	c.waiters = append(c.waiters, p)
 	p.state = stateBlocked
 	p.waitOn = c

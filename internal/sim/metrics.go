@@ -303,8 +303,8 @@ type Observer struct {
 	// worker goroutines, so it must be safe for concurrent use.
 	OnReport func(Report)
 	// OnSimPar receives the run-ahead engine's statistics when the source
-	// exposes them (benchmarks use this to report phase-batching ratios;
-	// see SimParSource). Called even when run-ahead never armed — Enabled
+	// exposes them (benchmarks use this to report windows per simulated
+	// instruction; see SimParSource). Called even when run-ahead never armed — Enabled
 	// is false there.
 	OnSimPar func(SimParStats)
 }

@@ -201,14 +201,11 @@ func TestQueueForEachVisitsAll(t *testing.T) {
 	}
 }
 
-// TestSimParPhaseScratchReuse is the pool-hygiene property: the per-env
-// phase scratch (member slots, park table, queue-bound scratch) is sized
-// once at EnableSimPar and must be reused by every subsequent phase —
-// never regrown — every member's trajectory keeps the capacity it was
-// given on its first phase, and every member goroutine must be gone once
-// Run returns. A leaked member (stuck on its phase command channel) or a
-// scratch slice that regrows fails here; run under -race this also sweeps
-// the handoff protocol for data races across many phases.
+// TestSimParPhaseScratchReuse is the pool-hygiene property: every
+// process's trajectory keeps the capacity it was given on its first
+// run-ahead window, never regrown, and every process goroutine is gone
+// once Run returns. A trajectory that regrows or a goroutine stranded past
+// its window fails here.
 func TestSimParPhaseScratchReuse(t *testing.T) {
 	const lookahead = 825 * Nanosecond
 	const domains = 4
@@ -218,9 +215,8 @@ func TestSimParPhaseScratchReuse(t *testing.T) {
 	for seed := int64(100); seed < 112; seed++ {
 		schedules = append(schedules, drawSimParSchedule(seed, domains, lookahead))
 	}
-	// A long phase: two boards sleeping in lockstep, each 5000 times in one
-	// compute window, so every round extends both members and only the
-	// trajectory bound ends the phase.
+	// A long window: two boards sleeping in lockstep, each 5000 times in
+	// one compute window, so only the trajectory bound ends some windows.
 	long := simParSchedule{boards: make([][]simParStep, 2)}
 	for d := range long.boards {
 		for i := 0; i < 5000; i++ {
@@ -229,64 +225,33 @@ func TestSimParPhaseScratchReuse(t *testing.T) {
 	}
 	schedules = append(schedules, long)
 
-	var phases uint64
+	var windows uint64
 	for i, s := range schedules {
 		seed := 100 + int64(i)
-		env := NewEnv(WithTraceCapacity(1 << 14))
-		env.EnableSimPar(domains, lookahead)
-		for d := range s.boards {
-			d := d
-			steps := s.boards[d]
-			env.Spawn("board", func(p *Proc) {
-				p.BeginCompute(d + 1)
-				for _, st := range steps {
-					p.Sleep(st.sleep)
-					if st.sync {
-						p.PhaseSync()
-					}
-				}
-				p.EndCompute()
-			})
-		}
-		env.Run()
-		st := env.SimParStats()
-		phases += st.Phases
-
-		if got := cap(env.phaseMembers); got != domains {
-			t.Fatalf("seed %d: phaseMembers capacity %d after %d phases, want the preallocated %d",
-				seed, got, st.Phases, domains)
-		}
-		if got := len(env.phaseMsgs); got != domains {
-			t.Fatalf("seed %d: phaseMsgs length %d, want %d", seed, got, domains)
-		}
-		if got := len(env.phaseState); got != domains {
-			t.Fatalf("seed %d: phaseState length %d, want %d", seed, got, domains)
-		}
-		if len(env.phaseMembers) != 0 {
-			t.Fatalf("seed %d: %d members still registered after Run", seed, len(env.phaseMembers))
-		}
-		for _, p := range env.procs {
+		res := runSimParSchedule(s, lookahead, true)
+		st := res.stats
+		windows += st.Phases
+		for _, p := range res.env.procs[:len(s.boards)] { // boards spawn first
 			if p.traj == nil && i < len(schedules)-1 {
-				continue // never a phase member; the long schedule's boards always are
+				continue // never ran ahead; the long schedule's boards always do
 			}
 			if got := cap(p.traj); got != trajCap {
-				t.Fatalf("seed %d: %s trajectory capacity %d after %d phases, want the preallocated %d",
+				t.Fatalf("seed %d: %s trajectory capacity %d after %d windows, want the preallocated %d",
 					seed, p.name, got, st.Phases, trajCap)
 			}
 		}
 	}
-	if phases == 0 {
-		t.Fatal("no phase ever formed; the scratch reuse path was never exercised")
+	if windows == 0 {
+		t.Fatal("no window ever opened; the trajectory path was never exercised")
 	}
 
-	// Member goroutines park on private channels between rounds; any
-	// protocol bug that strands one keeps it alive past Run. Allow the
-	// runtime a moment to retire finished goroutines.
+	// A process blocked past its window would keep its goroutine alive
+	// past Run. Allow the runtime a moment to retire finished goroutines.
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("goroutines leaked across sim-par runs: %d before, %d after", before, runtime.NumGoroutine())
+	t.Fatalf("goroutines leaked across run-ahead runs: %d before, %d after", before, runtime.NumGoroutine())
 }

@@ -5,30 +5,33 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // simParStep is one pre-drawn action of a synthetic board process. Every
 // random decision is drawn before the run starts so the sequential and
-// parallel engines replay the identical schedule regardless of how their
-// goroutines interleave.
+// run-ahead engines replay the identical schedule.
 type simParStep struct {
 	sleep Duration
+	merge bool // charge the sleep as the superblock executor charges a block: merged, or per step
 	emit  bool // emit a trace event after the sleep (a sync point when traced)
-	sync  bool // park at a synchronization point after the sleep
+	sync  bool // end the window at a synchronization point after the sleep
 	drop  bool // close and reopen the compute window (EndCompute/BeginCompute)
 }
 
-// simParSchedule is a full pre-drawn workload: per-board step lists, an
-// untagged host process's sleep list, and a set of timer firings.
+// simParSchedule is a full pre-drawn workload: per-board step lists, which
+// boards' bodies return inside their compute window, an untagged host
+// process's sleep list, and a set of timer firings.
 type simParSchedule struct {
 	boards [][]simParStep
+	open   []bool // the board's body returns without closing its compute window
 	host   []Duration
 	timers []Duration
 }
 
 // drawSimParSchedule derives a workload from the seed. Durations are chosen
-// around the lookahead scale so phases form, horizons bind, and parks issue
-// at ties as well as in the open interior.
+// around the lookahead scale so windows open, horizons bind, and windows
+// end at ties as well as in the open interior.
 func drawSimParSchedule(seed int64, domains int, lookahead Duration) simParSchedule {
 	rng := rand.New(rand.NewSource(seed))
 	dur := func() Duration {
@@ -45,17 +48,19 @@ func drawSimParSchedule(seed int64, domains int, lookahead Duration) simParSched
 			return Duration(rng.Int63n(4*int64(lookahead)) + 1)
 		}
 	}
-	s := simParSchedule{boards: make([][]simParStep, domains)}
+	s := simParSchedule{boards: make([][]simParStep, domains), open: make([]bool, domains)}
 	for d := range s.boards {
 		n := 4 + rng.Intn(12)
 		for i := 0; i < n; i++ {
 			s.boards[d] = append(s.boards[d], simParStep{
 				sleep: dur(),
+				merge: rng.Intn(3) == 0,
 				emit:  rng.Intn(3) == 0,
 				sync:  rng.Intn(5) == 0,
 				drop:  rng.Intn(7) == 0,
 			})
 		}
+		s.open[d] = rng.Intn(3) == 0
 	}
 	for i, n := 0, 2+rng.Intn(6); i < n; i++ {
 		s.host = append(s.host, dur())
@@ -76,10 +81,11 @@ type simParResult struct {
 	end    Time
 	clocks []uint64
 	stats  SimParStats
+	env    *Env
 }
 
-// runSimParSchedule executes the schedule on a fresh environment, with the
-// conservative parallel engine armed or not.
+// runSimParSchedule executes the schedule on a fresh environment, with
+// run-ahead armed or not.
 func runSimParSchedule(s simParSchedule, lookahead Duration, par bool) simParResult {
 	env := NewEnv(WithTraceCapacity(1 << 14))
 	if par {
@@ -89,12 +95,19 @@ func runSimParSchedule(s simParSchedule, lookahead Duration, par bool) simParRes
 	for d := range s.boards {
 		d := d
 		steps := s.boards[d]
+		open := d < len(s.open) && s.open[d]
 		env.Spawn(fmt.Sprintf("board%d", d), func(p *Proc) {
 			p.BeginCompute(d + 1)
 			for i, st := range steps {
-				p.Sleep(st.sleep)
-				// FNV-style fold of the clock observations; the slot is
-				// owned by this goroutine alone.
+				if !st.merge {
+					p.Sleep(st.sleep)
+				} else if !p.TrySleepInPlace(st.sleep) {
+					// The superblock executor's fallback: the per-step
+					// sleeps the merged one stands for.
+					p.Sleep(st.sleep / 2)
+					p.Sleep(st.sleep - st.sleep/2)
+				}
+				// FNV-style fold of the clock observations.
 				clocks[d] = (clocks[d] ^ uint64(p.Now())) * 1099511628211
 				if st.emit {
 					p.Emit(Event{Comp: fmt.Sprintf("board%d", d), Kind: KindSched, Aux: uint64(i)})
@@ -109,7 +122,9 @@ func runSimParSchedule(s simParSchedule, lookahead Duration, par bool) simParRes
 					p.BeginCompute(d + 1)
 				}
 			}
-			p.EndCompute()
+			if !open {
+				p.EndCompute()
+			}
 		})
 	}
 	env.Spawn("host", func(p *Proc) {
@@ -125,7 +140,7 @@ func runSimParSchedule(s simParSchedule, lookahead Duration, par bool) simParRes
 		})
 	}
 	end := env.Run()
-	return simParResult{events: env.Trace().Events(), end: end, clocks: clocks, stats: env.SimParStats()}
+	return simParResult{events: env.Trace().Events(), end: end, clocks: clocks, stats: env.SimParStats(), env: env}
 }
 
 // diffSimParResults compares two runs of the same schedule, reporting the
@@ -159,39 +174,43 @@ func eventsEqual(a, b []Event) (int, bool) {
 
 // TestSimParDifferentialSynthetic is the engine-level half of the
 // determinism contract: across many random cross-domain schedules, the
-// parallel engine must produce the byte-identical event trace, in the
+// run-ahead engine must produce the byte-identical event trace, in the
 // identical order, ending at the identical virtual time, as the sequential
-// engine. Any conservative-safety violation (a member advancing past an
-// event that should have preempted it, a join re-enqueueing out of order)
-// shows up as a trace divergence.
+// engine. Any conservative-safety violation (a window advancing past an
+// event that should have preempted it, a replay re-enqueueing out of
+// order) shows up as a trace divergence. With one domain no pending tagged
+// event is of another domain, so no window may open at all.
 func TestSimParDifferentialSynthetic(t *testing.T) {
 	const lookahead = 825 * Nanosecond
-	var phases, waits uint64
+	var windows, waits uint64
 	for seed := int64(0); seed < 60; seed++ {
 		for _, domains := range []int{1, 2, 3, 4} {
 			s := drawSimParSchedule(seed, domains, lookahead)
 			seq := runSimParSchedule(s, lookahead, false)
 			par := runSimParSchedule(s, lookahead, true)
-			phases += par.stats.Phases
+			if domains == 1 && par.stats.Phases != 0 {
+				t.Fatalf("seed %d: a one-domain machine opened %d windows", seed, par.stats.Phases)
+			}
+			windows += par.stats.Phases
 			waits += par.stats.HorizonWaits
 			if d := diffSimParResults(seq, par); d != "" {
 				t.Fatalf("seed %d domains %d: %s", seed, domains, d)
 			}
 		}
 	}
-	if phases == 0 {
-		t.Fatal("no phase ever formed; the parallel engine was never exercised")
+	if windows == 0 {
+		t.Fatal("no window ever opened; run-ahead was never exercised")
 	}
 	if waits == 0 {
-		t.Fatal("no member ever parked on its horizon; the lookahead bound was never exercised")
+		t.Fatal("no window ever ended at its horizon; the lookahead bound was never exercised")
 	}
 }
 
-// TestSimParInterleavingIndependence re-runs one parallel schedule many
-// times under both serial and maximally parallel GOMAXPROCS. Member
-// goroutines genuinely race on the wall clock, so any ordering that leaks
-// from goroutine scheduling into the artifacts (join re-enqueue order,
-// trace shard merge order) diverges across repetitions.
+// TestSimParInterleavingIndependence re-runs one run-ahead schedule many
+// times at GOMAXPROCS 1 and at the host's CPU count. Only the goroutine
+// holding the baton runs simulation code, so nothing about how the Go
+// scheduler places goroutines on threads may leak into the artifacts; a
+// divergence across repetitions would mean it did.
 func TestSimParInterleavingIndependence(t *testing.T) {
 	const lookahead = 825 * Nanosecond
 	s := drawSimParSchedule(7, 4, lookahead)
@@ -209,12 +228,13 @@ func TestSimParInterleavingIndependence(t *testing.T) {
 	}
 }
 
-// TestSimParHorizonProperty checks the conservative lookahead bound against
-// an independent brute-force reference over random queue shapes: a member's
-// horizon must sit strictly below every pending untagged or same-domain
-// event, strictly below other-domain tagged events plus the lookahead, and
-// strictly below co-members' start plus the lookahead — and never above the
-// environment horizon.
+// TestSimParHorizonProperty checks a window's bounds against an
+// independent brute-force reference over random queue shapes: the horizon
+// must sit strictly below every pending untagged, barred or same-domain
+// event and strictly below other-domain tagged events plus the lookahead,
+// where a phantom cursor counts at the end of its recorded trajectory; the
+// strict bound must sit strictly below every pending entry, phantom
+// cursors included; and neither may pass the environment horizon.
 func TestSimParHorizonProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 500; iter++ {
@@ -227,89 +247,72 @@ func TestSimParHorizonProperty(t *testing.T) {
 			return &Proc{env: e, state: stateRunnable, domain: domain, computeDepth: depth,
 				phaseBarred: rng.Intn(5) == 0}
 		}
-		// Random pending queue: untagged procs, timers, tagged procs of
-		// random domains.
+		// Random pending queue: timers, untagged procs, tagged procs of
+		// random domains, and phantom cursors with recorded trajectories.
 		nq := rng.Intn(8)
 		for i := 0; i < nq; i++ {
 			at := base.Add(Duration(rng.Int63n(3 * int64(L))))
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				e.queue.Push(event{at: at, seq: uint64(i), timer: &Timer{}})
 			case 1:
 				e.queue.Push(event{at: at, seq: uint64(i), proc: mkproc(0, 0)})
-			default:
+			case 2:
 				e.queue.Push(event{at: at, seq: uint64(i), proc: mkproc(1+rng.Intn(4), 1)})
+			default:
+				p := mkproc(rng.Intn(5), rng.Intn(2))
+				for n, t := rng.Intn(4), at; n > 0; n-- {
+					t = t.Add(Duration(rng.Int63n(2 * int64(L))))
+					p.traj = append(p.traj, t)
+				}
+				e.queue.Push(event{at: at, seq: uint64(i), proc: p, phantom: true})
 			}
-		}
-		// Random member set with pairwise distinct domains, all starting
-		// within L of base (the prefix rule guarantees this in real phases).
-		k := 1 + rng.Intn(4)
-		perm := rng.Perm(4)
-		var members []event
-		for i := 0; i < k; i++ {
-			at := base.Add(Duration(rng.Int63n(int64(L))))
-			m := mkproc(perm[i]+1, 1)
-			m.phaseBarred = false // members are never barred (phaseEligible filters them)
-			members = append(members, event{at: at, proc: m})
 		}
 		if rng.Intn(4) == 0 {
 			e.horizon = base.Add(Duration(rng.Int63n(2 * int64(L))))
 		}
-		// Snapshot the queue for the brute-force reference bound.
+		d := 1 + rng.Intn(4)
 		var pending []event
 		e.queue.forEach(func(q *event) { pending = append(pending, *q) })
 
-		for i := range members {
-			h := e.memberHorizon(members, i)
-			if h > e.horizon {
-				t.Fatalf("iter %d: member %d horizon %d above env horizon %d", iter, i, h, e.horizon)
-			}
-			// Brute-force reference bound.
-			want := maxTime
-			for _, q := range pending {
-				b := q.at
-				if q.timer == nil && q.proc.computeDepth > 0 && q.proc.domain > 0 &&
-					q.proc.domain != members[i].proc.domain && !q.proc.phaseBarred {
-					b = q.at.Add(L)
+		h, strict := e.windowBounds(d)
+		if h > e.horizon || strict > e.horizon {
+			t.Fatalf("iter %d: bounds %d/%d above env horizon %d", iter, h, strict, e.horizon)
+		}
+		if h < strict {
+			t.Fatalf("iter %d: horizon %d below strict bound %d", iter, h, strict)
+		}
+		want, wantStrict := maxTime, maxTime
+		for _, q := range pending {
+			wantStrict = min(wantStrict, q.at)
+			next, slack := q.at, false
+			if q.timer == nil {
+				p := q.proc
+				if q.phantom && len(p.traj) > 0 {
+					next = p.traj[len(p.traj)-1]
 				}
-				if b < want {
-					want = b
-				}
+				slack = p.computeDepth > 0 && p.domain > 0 && !p.phaseBarred && p.domain != d
 			}
-			for j, o := range members {
-				if j == i {
-					continue
-				}
-				if b := o.at.Add(L); b < want {
-					want = b
-				}
+			if !slack && h >= next {
+				t.Fatalf("iter %d: horizon %d reaches an untagged, barred or same-domain entry's code at %d",
+					iter, h, next)
 			}
-			want = want - 1
-			if e.horizon < want {
-				want = e.horizon
+			if slack {
+				next = next.Add(L)
 			}
-			if h != want {
-				t.Fatalf("iter %d member %d: horizon %d, reference %d", iter, i, h, want)
-			}
-			// The strictness invariant the Sleep tie semantics rely on: no
-			// untagged, barred, or same-domain pending event may be
-			// reachable.
-			for _, q := range pending {
-				tagged := q.timer == nil && q.proc.computeDepth > 0 && q.proc.domain > 0 && !q.proc.phaseBarred
-				if (!tagged || q.proc.domain == members[i].proc.domain) && h >= q.at {
-					t.Fatalf("iter %d member %d: horizon %d reaches untagged/same-domain event at %d",
-						iter, i, h, q.at)
-				}
-			}
+			want = min(want, next)
+		}
+		want, wantStrict = min(want-1, e.horizon), min(wantStrict-1, e.horizon)
+		if h != want || strict != wantStrict {
+			t.Fatalf("iter %d domain %d: bounds %d/%d, reference %d/%d", iter, d, h, strict, want, wantStrict)
 		}
 	}
 }
 
 // TestSimParLookaheadFloor pins the regression boundary for the horizon
-// math: with the minimum meaningful lookahead (1 ps) every member's horizon
-// collapses to its own start time whenever any other work is pending, so
-// the engine degenerates to sequential execution — and the differential
-// oracle must still hold there.
+// math: with the minimum meaningful lookahead (1 ps) a window's horizon
+// sits barely above its strict bound, so windows are cut after almost no
+// progress — and the differential oracle must still hold there.
 func TestSimParLookaheadFloor(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		s := drawSimParSchedule(seed, 3, 825*Nanosecond)
@@ -344,8 +347,8 @@ func TestEnableSimParRefusals(t *testing.T) {
 	}
 }
 
-// TestSimParStatsAccounting checks that phases, members, and horizon waits
-// are counted, and that a sequential run reports no phase activity (the
+// TestSimParStatsAccounting checks that windows and horizon waits are
+// counted, and that a sequential run reports no window activity (the
 // stats must never leak into the byte-identical artifacts, so they live
 // outside the metrics registry — this test documents that they still
 // exist and move).
@@ -353,20 +356,67 @@ func TestSimParStatsAccounting(t *testing.T) {
 	const lookahead = 825 * Nanosecond
 	s := drawSimParSchedule(3, 4, lookahead)
 	seqSt := runSimParSchedule(s, lookahead, false).stats
-	if seqSt.Enabled || seqSt.Phases != 0 || seqSt.Members != 0 || seqSt.HorizonWaits != 0 {
-		t.Errorf("sequential run reports nonzero sim-par stats: %+v", seqSt)
+	if seqSt.Enabled || seqSt.Phases != 0 || seqSt.HorizonWaits != 0 || seqSt.ParkedEmits != 0 {
+		t.Errorf("sequential run reports nonzero run-ahead stats: %+v", seqSt)
 	}
 	parSt := runSimParSchedule(s, lookahead, true).stats
 	if !parSt.Enabled || parSt.Domains != 4 || parSt.Lookahead != lookahead {
-		t.Errorf("parallel run config stats wrong: %+v", parSt)
+		t.Errorf("run-ahead config stats wrong: %+v", parSt)
 	}
-	if parSt.Phases == 0 || parSt.Members < parSt.Phases {
-		t.Errorf("parallel run counted %d phases / %d members", parSt.Phases, parSt.Members)
+	if parSt.Phases == 0 || parSt.HorizonWaits+parSt.ParkedEmits > parSt.Phases {
+		t.Errorf("run-ahead counted %d windows, %d horizon waits, %d parked emits",
+			parSt.Phases, parSt.HorizonWaits, parSt.ParkedEmits)
 	}
 }
 
+// TestSimParPanicInsideWindow checks that a panic raised inside a
+// run-ahead window surfaces from Run with its original value and leaves
+// no goroutine behind. The first board's body returns inside its own
+// window, so the second board's window opens against a phantom whose
+// process has already finished.
+func TestSimParPanicInsideWindow(t *testing.T) {
+	type boom struct{ name string }
+	before := runtime.NumGoroutine()
+	want := &boom{"window"}
+	env := NewEnv()
+	env.EnableSimPar(2, 825*Nanosecond)
+	env.Spawn("board1", func(p *Proc) {
+		p.BeginCompute(1)
+		for i := 0; i < 10; i++ {
+			p.Sleep(Nanosecond)
+		}
+	})
+	env.Spawn("board2", func(p *Proc) {
+		p.BeginCompute(2)
+		for {
+			p.Sleep(Nanosecond)
+			if p.InPhase() {
+				panic(want)
+			}
+		}
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != want {
+				t.Errorf("Run panicked with %v, want %v", r, want)
+			}
+		}()
+		env.Run()
+	}()
+	if got := env.SimParStats().Phases; got != 2 {
+		t.Errorf("%d windows opened, want 2 (board1's, then board2's)", got)
+	}
+	for i := 0; i < 100; i++ {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Errorf("goroutines leaked past a panic inside a window: %d before, %d after", before, runtime.NumGoroutine())
+}
+
 // FuzzCrossDomainOrdering feeds arbitrary byte strings through a schedule
-// decoder and differentially checks the parallel engine against the
+// decoder and differentially checks the run-ahead engine against the
 // sequential one, hunting (time, domain, seq) tie-break bugs the seeded
 // property test might miss. Each byte triple becomes one step of one
 // domain's process; ties are common by construction because sleep durations
@@ -382,7 +432,7 @@ func FuzzCrossDomainOrdering(f *testing.F) {
 		}
 		const domains = 3
 		const lookahead = 16 * Nanosecond
-		s := simParSchedule{boards: make([][]simParStep, domains)}
+		s := simParSchedule{boards: make([][]simParStep, domains), open: make([]bool, domains)}
 		for i := 0; i+2 < len(data) && i < 90; i += 3 {
 			d := int(data[i]) % (domains + 1)
 			// A tiny duration alphabet scaled to the lookahead makes exact
@@ -394,10 +444,12 @@ func FuzzCrossDomainOrdering(f *testing.F) {
 			}
 			s.boards[d] = append(s.boards[d], simParStep{
 				sleep: dur,
+				merge: data[i+2]&8 != 0,
 				emit:  data[i+2]&4 != 0,
 				sync:  data[i+2]&1 != 0,
 				drop:  data[i+2]&2 != 0,
 			})
+			s.open[d] = data[i+2]&16 != 0
 		}
 		seq := runSimParSchedule(s, lookahead, false)
 		par := runSimParSchedule(s, lookahead, true)
