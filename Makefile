@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-isa bench bench-hotloop bench-check cover fuzz golden clean
+.PHONY: all build vet test race check lint-isa fmt-check bench bench-hotloop bench-check cover fuzz golden clean
 
 all: check
 
@@ -18,7 +18,19 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet lint-isa race
+check: build vet fmt-check lint-isa race
+
+# Formatting gate: every tracked Go file must be gofmt-clean. Files under
+# .bench_build/ (perfbench's build tree) are never checked.
+fmt-check:
+	@files=$$(git ls-files '*.go' | grep -v '^\.bench_build/') || \
+		{ echo "fmt-check: no tracked Go files found"; exit 1; }; \
+	bad=$$(gofmt -l $$files); \
+	if [ -n "$$bad" ]; then \
+		echo "fmt-check: files not gofmt-clean (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "fmt-check: clean"
 
 # The ISA-registry contract: the execution and toolchain layers (cpu,
 # kernel, multibin, asm) dispatch through isa.Backend and its registry,
@@ -52,12 +64,13 @@ golden:
 	done && rm -rf $$dir && echo "golden: all artifacts byte-identical"
 
 # The hot-loop record: end-to-end scale-out throughput, the interpreter's
-# steady-state step, the translate hit path, and the event engine's two
-# unit costs (a process handoff and a timer wake). Each benchmark runs five
-# times; cmd/benchcheck gates the median, because single runs of the
-# engine's unit costs swing past the 15% gate on an unchanged tree.
+# steady-state step, the translate hit path, and the event engine's three
+# unit costs (a process handoff, a timer wake, and a queue pop and push at
+# a constant occupancy). Each benchmark runs five times; cmd/benchcheck
+# gates the median, because single runs of the engine's unit costs swing
+# past the 15% gate on an unchanged tree.
 HOTLOOP_BENCH = $(GO) test -run '^$$' -count 5 -benchmem -json \
-	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkProcessSwitch|BenchmarkTimerWake' \
+	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkProcessSwitch|BenchmarkTimerWake|BenchmarkQueueHold' \
 	./internal/cpu ./internal/mmu ./internal/sim .
 
 bench:

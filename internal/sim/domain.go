@@ -343,11 +343,8 @@ func (e *Env) replayStep(ev event) *Proc {
 	for p.cursor < len(p.traj) {
 		t := p.traj[p.cursor]
 		p.cursor++
-		if !e.noFast && t <= e.horizon {
-			if h := e.queue.Head(); h == nil || t < h.at {
-				e.now = t
-				continue
-			}
+		if e.advanceInPlace(t) {
+			continue
 		}
 		e.seq++
 		e.queue.Push(event{at: t, seq: e.seq, proc: p, phantom: true})

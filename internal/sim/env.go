@@ -66,31 +66,18 @@ type Env struct {
 // deadline" horizon for the Sleep fast path.
 const maxTime = Time(math.MaxInt64)
 
-// EnvOption configures a new environment.
-type EnvOption func(*Env)
-
-// WithTraceCapacity bounds the environment's event trace at capacity
-// events (0 disables recording; events past the bound are counted as
-// drops, never silently lost).
-func WithTraceCapacity(capacity int) EnvOption {
-	return func(e *Env) { e.trace = NewTrace(capacity) }
-}
-
-// NewEnv creates an empty simulation environment at time zero. Without
-// options the trace has capacity zero (recording off); the metrics
-// registry always exists so components can register unconditionally.
-func NewEnv(opts ...EnvOption) *Env {
-	e := &Env{
+// NewEnv creates an empty simulation environment at time zero. The trace
+// has capacity zero (recording off) until SetTraceCap sizes it; the
+// metrics registry always exists so components can register
+// unconditionally.
+func NewEnv() *Env {
+	return &Env{
 		trace:   NewTrace(0),
 		metrics: NewMetrics(),
 		yield:   make(chan any),
 		horizon: maxTime,
 		noFast:  FastPathsDisabled(),
 	}
-	for _, opt := range opts {
-		opt(e)
-	}
-	return e
 }
 
 // Now returns the current virtual time.
@@ -102,17 +89,9 @@ func (e *Env) Trace() *Trace { return e.trace }
 // Metrics returns the environment's metrics registry.
 func (e *Env) Metrics() *Metrics { return e.metrics }
 
-// SetTrace replaces the environment's trace (e.g. to bound its capacity or
-// enable recording). A nil trace disables recording entirely.
-func (e *Env) SetTrace(t *Trace) {
-	if t == nil {
-		t = NewTrace(0)
-	}
-	e.trace = t
-}
-
 // SetTraceCap replaces the trace with a fresh one bounded at capacity
-// events. Previously recorded events are discarded.
+// events: 0 disables recording, and events past the bound are counted as
+// drops, never silently lost. Previously recorded events are discarded.
 func (e *Env) SetTraceCap(capacity int) { e.trace = NewTrace(capacity) }
 
 // Emit records ev in the trace, stamping it with the current virtual time.
@@ -483,23 +462,31 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	e := p.env
 	t := e.now.Add(d)
-	// Fast path: if no other event can possibly run before t (the queue is
-	// empty, or its earliest event is strictly later — a tie would win on
-	// seq), passing the baton on would pop this process's own entry
-	// straight back with the clock at t. Skip the queue push and pop and
-	// advance the clock in place. Observable behavior — event order,
-	// virtual timestamps, metrics, traces — is identical; a running
-	// process is never in the queue, so nothing else can observe the
-	// intermediate state. The horizon check keeps RunUntil exact: a sleep
-	// crossing the deadline must park in the queue so the loop stops.
-	if !e.noFast && t <= e.horizon {
-		if h := e.queue.Head(); h == nil || t < h.at {
-			e.now = t
-			return
-		}
+	if e.advanceInPlace(t) {
+		return
 	}
 	e.schedule(p, t)
 	p.cede()
+}
+
+// advanceInPlace moves the clock to t and reports true when a sleep to t
+// may skip the queue: no queued event can run first (the queue is empty or
+// its head is strictly later; a tie must queue so the queued event's seq
+// wins), so passing the baton on would only pop the sleeper's own entry
+// straight back, and nothing can observe the skipped push and pop. The
+// horizon keeps RunUntil exact, and the reference engine never skips.
+// Sleep, TrySleepInPlace and the replay all apply this one rule, on which
+// byte-identity between the engines rests; it must stay small enough to
+// inline into Sleep, the interpreter's per-instruction path.
+func (e *Env) advanceInPlace(t Time) bool {
+	if e.noFast || t > e.horizon {
+		return false
+	}
+	if h := e.queue.Head(); h != nil && t >= h.at {
+		return false
+	}
+	e.now = t
+	return true
 }
 
 // Yield cedes control so that other processes scheduled at the current
@@ -540,15 +527,7 @@ func (p *Proc) TrySleepInPlace(d Duration) bool {
 		}
 		return false
 	}
-	e := p.env
-	t := e.now.Add(d)
-	if !e.noFast && t <= e.horizon {
-		if h := e.queue.Head(); h == nil || t < h.at {
-			e.now = t
-			return true
-		}
-	}
-	return false
+	return p.env.advanceInPlace(p.env.now.Add(d))
 }
 
 // Cond is a waitable condition. Processes block on it with Proc.Wait and
@@ -626,7 +605,13 @@ func (c *Cond) Signal() {
 		return
 	}
 	p := c.waiters[0]
-	c.waiters = c.waiters[1:]
+	if len(c.waiters) == 1 {
+		// Rewind rather than re-slice past the last waiter, which would
+		// leave zero capacity and make the next Wait allocate.
+		c.waiters = c.waiters[:0]
+	} else {
+		c.waiters = c.waiters[1:]
+	}
 	c.env.schedule(p, c.env.now)
 }
 

@@ -123,6 +123,26 @@ func TestCondSignalWakesFIFO(t *testing.T) {
 	}
 }
 
+// TestCondSignalKeepsLastWaiterSlot pins the one-waiter Cond, as a
+// migrated thread waits for its MSI wake: Signal rewinds the waiter list
+// when its last waiter leaves, so the list keeps its capacity and the next
+// Wait does not allocate a new one.
+func TestCondSignalKeepsLastWaiterSlot(t *testing.T) {
+	env := NewEnv()
+	c := env.NewCond("wake")
+	env.Spawn("waiter", func(p *Proc) {
+		for i := 0; i < 4; i++ {
+			env.AfterFunc(Nanosecond, c.Signal)
+			p.Wait(c)
+			if c.Waiters() != 0 || cap(c.waiters) == 0 {
+				t.Errorf("wake %d: %d waiters, capacity %d; want 0 waiters and the slot kept", i, c.Waiters(), cap(c.waiters))
+				return
+			}
+		}
+	})
+	env.Run()
+}
+
 func TestWaitForPredicateAlreadyTrue(t *testing.T) {
 	env := NewEnv()
 	c := env.NewCond("c")

@@ -1,15 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 )
 
-// refQueue is the brute-force reference the two-level queue is checked
-// against: a flat slice with O(n) minimum selection under the same
-// (at, seq) order. Too slow for the engine, trivially correct.
+// refQueue is the brute-force reference the heap is checked against: a
+// flat slice with O(n) minimum selection under the same (at, seq) order.
+// Too slow for the engine, trivially correct.
 type refQueue []event
 
 func (r *refQueue) push(ev event) { *r = append(*r, ev) }
@@ -39,33 +38,92 @@ func (r *refQueue) pop() event {
 	return ev
 }
 
-// TestQueueMatchesReferenceOrdering drives random Push/Head/Pop traffic
-// through the calendar queue and the reference queue in lockstep, across
-// time distributions chosen to exercise every area: dense ties in one
-// bucket, spread across the ring, far-future overflow (forcing
-// migrations), and below-base pushes after partial drains (forcing the
-// early area). Any divergence in pop order, head, or length fails.
+// popBoth checks the queue's head against the reference minimum, then
+// pops both and checks the popped events agree. where labels a failure.
+func popBoth(t *testing.T, q *eventQueue, ref *refQueue, where string, args ...any) event {
+	t.Helper()
+	if h, rm := q.Head(), ref.min(); h.at != rm.at || h.seq != rm.seq {
+		t.Fatalf("%s: head (%d,%d), reference (%d,%d)", fmt.Sprintf(where, args...), h.at, h.seq, rm.at, rm.seq)
+	}
+	got, want := q.Pop(), ref.pop()
+	if got.at != want.at || got.seq != want.seq {
+		t.Fatalf("%s: popped (%d,%d), reference (%d,%d)", fmt.Sprintf(where, args...), got.at, got.seq, want.at, want.seq)
+	}
+	return got
+}
+
+// TestQueueMatchesReferenceOrdering drives the heap and the reference
+// queue in lockstep. Two fixed cases pin pushes below the head with ties
+// (a Sleep crossing a RunUntil deadline while the head is far away) and
+// ties far in the future, each against its known pop order too. The
+// random cases mix Push, Head, Pop and full drains over time spreads from
+// exact ties to about a second, with occasional pushes below the head;
+// bulk-random also arms a batch of events in random order at the start
+// and after each drain. Any divergence in head, pop order or length fails.
 func TestQueueMatchesReferenceOrdering(t *testing.T) {
-	distributions := []struct {
+	const far = Time(Second)
+	fixed := []struct {
+		name string
+		push []event
+		want []uint64 // pop order, by seq
+	}{
+		{"below-head-ties", []event{{at: 1 << 30, seq: 10}, {at: 5, seq: 11}, {at: 5, seq: 12}, {at: 3, seq: 13}},
+			[]uint64{13, 11, 12, 10}},
+		{"far-future-ties", []event{{at: 10, seq: 0}, {at: far + 7, seq: 1}, {at: far + 7, seq: 2}, {at: far + 1, seq: 3}, {at: 3 * far, seq: 4}},
+			[]uint64{0, 3, 1, 2, 4}},
+	}
+	for _, c := range fixed {
+		t.Run(c.name, func(t *testing.T) {
+			var q eventQueue
+			var ref refQueue
+			for _, ev := range c.push {
+				q.Push(ev)
+				ref.push(ev)
+			}
+			for i, want := range c.want {
+				if got := popBoth(t, &q, &ref, "pop %d", i); got.seq != want {
+					t.Fatalf("pop %d: seq %d, want %d", i, got.seq, want)
+				}
+			}
+			if q.Len() != 0 {
+				t.Fatalf("queue not empty after draining: %d", q.Len())
+			}
+		})
+	}
+
+	random := []struct {
 		name string
 		span int64 // time range the pushes draw from, relative to a cursor
+		bulk int   // events armed in random order when the queue is empty
 	}{
-		{"dense-ties", 64},                  // many events share a bucket and exact times
-		{"one-bucket", int64(qGranule) - 1}, // single-granule clustering
-		{"ring", int64(qRingSpan) - 1},      // spread across the ring window
-		{"overflow", 4 * int64(qRingSpan)},  // most pushes land in the overflow heap
-		{"far-future", int64(1) << 40},      // essentially all overflow, sparse ring
+		{"dense-ties", 64, 0}, // many events share exact times
+		{"spread-100ns", int64(100 * Nanosecond), 0},
+		{"spread-10us", int64(10 * Microsecond), 0},
+		{"spread-1ms", int64(Millisecond), 0},
+		{"far-future", int64(1) << 40, 0}, // about a second
+		{"bulk-random", int64(600 * Millisecond), 128},
 	}
-	for _, dist := range distributions {
+	for _, dist := range random {
 		t.Run(dist.name, func(t *testing.T) {
 			for seed := int64(0); seed < 5; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				var q eventQueue
 				var ref refQueue
 				var seq uint64
+				push := func(at Time) {
+					ev := event{at: at, seq: seq}
+					seq++
+					q.Push(ev)
+					ref.push(ev)
+				}
 				cursor := Time(rng.Int63n(1 << 30))
 				var lastAt Time
 				for op := 0; op < 4000; op++ {
+					if q.Len() == 0 {
+						for i := 0; i < dist.bulk; i++ {
+							push(cursor.Add(Duration(rng.Int63n(dist.span + 1))))
+						}
+					}
 					switch {
 					case q.Len() == 0 || rng.Intn(3) != 0:
 						at := cursor.Add(Duration(rng.Int63n(dist.span + 1)))
@@ -75,113 +133,44 @@ func TestQueueMatchesReferenceOrdering(t *testing.T) {
 							at = lastAt
 						}
 						if q.Len() > 0 && rng.Intn(16) == 0 {
-							// Below the current head — and usually below the
-							// ring base after a rebase — forcing the early area.
+							// Below the current head: the push becomes the
+							// new head.
 							h := q.Head().at
 							at = h - Time(rng.Int63n(int64(h)+1))
 						}
 						lastAt = at
-						ev := event{at: at, seq: seq}
-						seq++
-						q.Push(ev)
-						ref.push(ev)
+						push(at)
 					case rng.Intn(4) == 0:
-						// Drain completely: the next push re-anchors the window.
+						// Drain completely, then move the cursor on.
 						for q.Len() > 0 {
-							got, want := q.Pop(), ref.pop()
-							if got.at != want.at || got.seq != want.seq {
-								t.Fatalf("seed %d op %d drain: popped (%d,%d), reference (%d,%d)",
-									seed, op, got.at, got.seq, want.at, want.seq)
-							}
+							popBoth(t, &q, &ref, "seed %d op %d drain", seed, op)
 						}
 						cursor = cursor.Add(Duration(rng.Int63n(int64(1) << 35)))
 					default:
-						h := q.Head()
-						if rm := ref.min(); h.at != rm.at || h.seq != rm.seq {
-							t.Fatalf("seed %d op %d: head (%d,%d), reference (%d,%d)",
-								seed, op, h.at, h.seq, rm.at, rm.seq)
-						}
-						got, want := q.Pop(), ref.pop()
-						if got.at != want.at || got.seq != want.seq {
-							t.Fatalf("seed %d op %d: popped (%d,%d), reference (%d,%d)",
-								seed, op, got.at, got.seq, want.at, want.seq)
-						}
 						// Pops never advance the cursor past the popped event:
 						// later pushes may still land at or below it, like a
 						// Sleep scheduled from the popped process.
-						cursor = got.at
+						cursor = popBoth(t, &q, &ref, "seed %d op %d", seed, op).at
 					}
 					if q.Len() != len(ref) {
 						t.Fatalf("seed %d op %d: Len %d, reference %d", seed, op, q.Len(), len(ref))
 					}
 				}
 				for q.Len() > 0 {
-					got, want := q.Pop(), ref.pop()
-					if got.at != want.at || got.seq != want.seq {
-						t.Fatalf("seed %d final drain: popped (%d,%d), reference (%d,%d)",
-							seed, got.at, got.seq, want.at, want.seq)
-					}
+					popBoth(t, &q, &ref, "seed %d final drain", seed)
 				}
 			}
 		})
 	}
 }
 
-// TestQueueEarlyArea pins the below-base path deterministically: anchoring
-// the window high and then pushing lower events must still pop in strict
-// (at, seq) order, including a tie inside the early area.
-func TestQueueEarlyArea(t *testing.T) {
-	var q eventQueue
-	q.Push(event{at: 1 << 30, seq: 10}) // anchors base ≈ 2^30
-	q.Push(event{at: 5, seq: 11})       // below base: early
-	q.Push(event{at: 5, seq: 12})       // early tie, later seq
-	q.Push(event{at: 3, seq: 13})       // earlier still
-	want := []struct {
-		at  Time
-		seq uint64
-	}{{3, 13}, {5, 11}, {5, 12}, {1 << 30, 10}}
-	for i, w := range want {
-		if h := q.Head(); h.at != w.at || h.seq != w.seq {
-			t.Fatalf("head %d: (%d,%d), want (%d,%d)", i, h.at, h.seq, w.at, w.seq)
-		}
-		if ev := q.Pop(); ev.at != w.at || ev.seq != w.seq {
-			t.Fatalf("pop %d: (%d,%d), want (%d,%d)", i, ev.at, ev.seq, w.at, w.seq)
-		}
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not empty after draining: %d", q.Len())
-	}
-}
-
-// TestQueueOverflowMigration pins the window rotation: events pushed far
-// beyond the ring span sit in the overflow heap until the ring drains,
-// then migrate into a re-anchored window and pop in order.
-func TestQueueOverflowMigration(t *testing.T) {
-	var q eventQueue
-	const far = Time(qRingSpan) * 3
-	q.Push(event{at: 10, seq: 0})
-	q.Push(event{at: far + 7, seq: 1})                 // overflow
-	q.Push(event{at: far + 7, seq: 2})                 // overflow tie
-	q.Push(event{at: far + 1, seq: 3})                 // overflow, earlier
-	q.Push(event{at: far + Time(qRingSpan)*2, seq: 4}) // stays in overflow after one migration
-	order := []uint64{0, 3, 1, 2, 4}
-	for i, wantSeq := range order {
-		if ev := q.Pop(); ev.seq != wantSeq {
-			t.Fatalf("pop %d: seq %d, want %d", i, ev.seq, wantSeq)
-		}
-	}
-}
-
-// TestQueueForEachVisitsAll checks the frozen-queue iterator against a
-// population spanning all three areas: every pushed event is visited
-// exactly once, with the queue left intact.
+// TestQueueForEachVisitsAll checks the frozen-queue iterator: every pushed
+// event is visited exactly once, with the queue left intact.
 func TestQueueForEachVisitsAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var q eventQueue
 	pushed := map[uint64]bool{}
-	q.Push(event{at: 1 << 25, seq: 0}) // anchor high so later pushes can go early
-	pushed[0] = true
-	for seq := uint64(1); seq < 200; seq++ {
+	for seq := uint64(0); seq < 200; seq++ {
 		at := Time(rng.Int63n(int64(1) << 30))
 		q.Push(event{at: at, seq: seq})
 		pushed[seq] = true
@@ -199,59 +188,4 @@ func TestQueueForEachVisitsAll(t *testing.T) {
 	if q.Len() != len(pushed) {
 		t.Fatalf("forEach mutated the queue: Len %d, want %d", q.Len(), len(pushed))
 	}
-}
-
-// TestSimParPhaseScratchReuse is the pool-hygiene property: every
-// process's trajectory keeps the capacity it was given on its first
-// run-ahead window, never regrown, and every process goroutine is gone
-// once Run returns. A trajectory that regrows or a goroutine stranded past
-// its window fails here.
-func TestSimParPhaseScratchReuse(t *testing.T) {
-	const lookahead = 825 * Nanosecond
-	const domains = 4
-	before := runtime.NumGoroutine()
-
-	var schedules []simParSchedule
-	for seed := int64(100); seed < 112; seed++ {
-		schedules = append(schedules, drawSimParSchedule(seed, domains, lookahead))
-	}
-	// A long window: two boards sleeping in lockstep, each 5000 times in
-	// one compute window, so only the trajectory bound ends some windows.
-	long := simParSchedule{boards: make([][]simParStep, 2)}
-	for d := range long.boards {
-		for i := 0; i < 5000; i++ {
-			long.boards[d] = append(long.boards[d], simParStep{sleep: Duration(1+(i+d)%3) * Nanosecond})
-		}
-	}
-	schedules = append(schedules, long)
-
-	var windows uint64
-	for i, s := range schedules {
-		seed := 100 + int64(i)
-		res := runSimParSchedule(s, lookahead, true)
-		st := res.stats
-		windows += st.Phases
-		for _, p := range res.env.procs[:len(s.boards)] { // boards spawn first
-			if p.traj == nil && i < len(schedules)-1 {
-				continue // never ran ahead; the long schedule's boards always do
-			}
-			if got := cap(p.traj); got != trajCap {
-				t.Fatalf("seed %d: %s trajectory capacity %d after %d windows, want the preallocated %d",
-					seed, p.name, got, st.Phases, trajCap)
-			}
-		}
-	}
-	if windows == 0 {
-		t.Fatal("no window ever opened; the trajectory path was never exercised")
-	}
-
-	// A process blocked past its window would keep its goroutine alive
-	// past Run. Allow the runtime a moment to retire finished goroutines.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked across run-ahead runs: %d before, %d after", before, runtime.NumGoroutine())
 }

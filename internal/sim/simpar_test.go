@@ -87,7 +87,8 @@ type simParResult struct {
 // runSimParSchedule executes the schedule on a fresh environment, with
 // run-ahead armed or not.
 func runSimParSchedule(s simParSchedule, lookahead Duration, par bool) simParResult {
-	env := NewEnv(WithTraceCapacity(1 << 14))
+	env := NewEnv()
+	env.SetTraceCap(1 << 14)
 	if par {
 		env.EnableSimPar(len(s.boards), lookahead)
 	}
@@ -413,6 +414,61 @@ func TestSimParPanicInsideWindow(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Errorf("goroutines leaked past a panic inside a window: %d before, %d after", before, runtime.NumGoroutine())
+}
+
+// TestSimParPhaseScratchReuse is the pool-hygiene property: every
+// process's trajectory keeps the capacity it was given on its first
+// run-ahead window, never regrown, and every process goroutine is gone
+// once Run returns. A trajectory that regrows or a goroutine stranded past
+// its window fails here.
+func TestSimParPhaseScratchReuse(t *testing.T) {
+	const lookahead = 825 * Nanosecond
+	const domains = 4
+	before := runtime.NumGoroutine()
+
+	var schedules []simParSchedule
+	for seed := int64(100); seed < 112; seed++ {
+		schedules = append(schedules, drawSimParSchedule(seed, domains, lookahead))
+	}
+	// A long window: two boards sleeping in lockstep, each 5000 times in
+	// one compute window, so only the trajectory bound ends some windows.
+	long := simParSchedule{boards: make([][]simParStep, 2)}
+	for d := range long.boards {
+		for i := 0; i < 5000; i++ {
+			long.boards[d] = append(long.boards[d], simParStep{sleep: Duration(1+(i+d)%3) * Nanosecond})
+		}
+	}
+	schedules = append(schedules, long)
+
+	var windows uint64
+	for i, s := range schedules {
+		seed := 100 + int64(i)
+		res := runSimParSchedule(s, lookahead, true)
+		st := res.stats
+		windows += st.Phases
+		for _, p := range res.env.procs[:len(s.boards)] { // boards spawn first
+			if p.traj == nil && i < len(schedules)-1 {
+				continue // never ran ahead; the long schedule's boards always do
+			}
+			if got := cap(p.traj); got != trajCap {
+				t.Fatalf("seed %d: %s trajectory capacity %d after %d windows, want the preallocated %d",
+					seed, p.name, got, st.Phases, trajCap)
+			}
+		}
+	}
+	if windows == 0 {
+		t.Fatal("no window ever opened; the trajectory path was never exercised")
+	}
+
+	// A process blocked past its window would keep its goroutine alive
+	// past Run. Allow the runtime a moment to retire finished goroutines.
+	for i := 0; i < 100; i++ {
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("goroutines leaked across run-ahead runs: %d before, %d after", before, runtime.NumGoroutine())
 }
 
 // FuzzCrossDomainOrdering feeds arbitrary byte strings through a schedule

@@ -21,7 +21,6 @@ const (
 	KindDMA            // one DMA transfer completed
 	KindSched          // scheduler/dispatch protocol event
 	KindMailbox        // descriptor mailbox event
-	KindTLB            // TLB maintenance (flush, shootdown)
 )
 
 var kindNames = [...]string{
@@ -34,7 +33,6 @@ var kindNames = [...]string{
 	KindDMA:       "dma",
 	KindSched:     "sched",
 	KindMailbox:   "mbox",
-	KindTLB:       "tlb",
 }
 
 // String returns the short lower-case category name, e.g. "migrate".

@@ -101,7 +101,8 @@ func TestTraceFilter(t *testing.T) {
 }
 
 func TestEnvTraceIntegration(t *testing.T) {
-	env := NewEnv(WithTraceCapacity(16))
+	env := NewEnv()
+	env.SetTraceCap(16)
 	env.Spawn("p", func(p *Proc) {
 		p.Sleep(7 * Nanosecond)
 		env.Emit(Event{Comp: "test", Kind: KindSched, Note: "hello"})
@@ -114,23 +115,24 @@ func TestEnvTraceIntegration(t *testing.T) {
 	if evs[0].Comp != "test" || evs[0].Note != "hello" {
 		t.Errorf("event payload = %+v", evs[0])
 	}
-	env.SetTrace(nil)
+	env.SetTraceCap(0)
 	if env.Trace().Enabled() {
-		t.Error("SetTrace(nil) should install a disabled trace")
+		t.Error("SetTraceCap(0) should install a disabled trace")
 	}
 }
 
-// TestEnvDefaultTraceConfigurable locks the fix for NewEnv always building
-// a capacity-0 trace with no way to opt in at construction time: both the
-// EnvOption and SetTraceCap must enable recording, and a trace that fills
-// must count drops rather than silently changing semantics.
+// TestEnvDefaultTraceConfigurable locks the trace's sizing: NewEnv builds a
+// capacity-0 trace, SetTraceCap must enable recording at the capacity it
+// is given, and a trace that fills must count drops rather than silently
+// changing semantics.
 func TestEnvDefaultTraceConfigurable(t *testing.T) {
 	if NewEnv().Trace().Enabled() {
 		t.Error("default env should not record events")
 	}
-	env := NewEnv(WithTraceCapacity(2))
+	env := NewEnv()
+	env.SetTraceCap(2)
 	if !env.Trace().Enabled() || env.Trace().Cap() != 2 {
-		t.Fatalf("WithTraceCapacity(2) not applied: cap=%d", env.Trace().Cap())
+		t.Fatalf("SetTraceCap(2) not applied: cap=%d", env.Trace().Cap())
 	}
 	env.Spawn("p", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -175,7 +177,6 @@ func TestKindString(t *testing.T) {
 		KindIRQ:       "irq",
 		KindSyscall:   "syscall",
 		KindCtxSwitch: "ctxsw",
-		KindTLB:       "tlb",
 		Kind(200):     "kind(200)",
 	}
 	for k, want := range cases {

@@ -10,7 +10,8 @@ import (
 )
 
 func sampleReport(base uint64) sim.Report {
-	env := sim.NewEnv(sim.WithTraceCapacity(8))
+	env := sim.NewEnv()
+	env.SetTraceCap(8)
 	env.Metrics().Counter("a.count").Add(base)
 	env.Metrics().Counter("z.count").Add(base * 2)
 	env.Metrics().Histogram("h").Observe(base)
