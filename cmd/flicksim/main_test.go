@@ -197,42 +197,6 @@ func TestMetricsAndTraceOut(t *testing.T) {
 	}
 }
 
-// TestJobsDeterminism is the acceptance check: stdout, the metrics JSON,
-// and the Chrome trace must be byte-identical whether the job graph runs
-// serially or 8 workers wide.
-func TestJobsDeterminism(t *testing.T) {
-	render := func(jobs string) (string, []byte, []byte) {
-		dir := t.TempDir()
-		mPath := filepath.Join(dir, "m.json")
-		tPath := filepath.Join(dir, "t.json")
-		code, stdout, stderr := runCLI(t, "-iters", "2", "-quiet", "-jobs", jobs,
-			"-metrics-out", mPath, "-trace-out", tPath, "table3", "tenants")
-		if code != 0 {
-			t.Fatalf("jobs=%s exit = %d, stderr:\n%s", jobs, code, stderr)
-		}
-		mb, err := os.ReadFile(mPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := os.ReadFile(tPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stdout, mb, tb
-	}
-	out1, m1, t1 := render("1")
-	out8, m8, t8 := render("8")
-	if out1 != out8 {
-		t.Errorf("stdout differs between -jobs=1 and -jobs=8:\n%s\nvs\n%s", out1, out8)
-	}
-	if !bytes.Equal(m1, m8) {
-		t.Errorf("metrics JSON differs between -jobs=1 and -jobs=8:\n%s\nvs\n%s", m1, m8)
-	}
-	if !bytes.Equal(t1, t8) {
-		t.Errorf("chrome trace differs between -jobs=1 and -jobs=8")
-	}
-}
-
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	cpuOut := filepath.Join(dir, "cpu.pprof")

@@ -148,6 +148,9 @@ func (rt *Runtime) dispatchToBoard(p *sim.Proc, c *cpu.Core, t *kernel.Task, tar
 	// to serve or the final return.
 	for {
 		if t.Err != nil {
+			// A failed call's return may already sit in an arrival slot;
+			// take it, or the slot stays owned for good.
+			rt.takeN2H(uint32(t.PID))
 			return t.Err
 		}
 		pa, src, ok := rt.takeN2H(uint32(t.PID))
@@ -242,7 +245,7 @@ func (rt *Runtime) nxpHandler(p *sim.Proc, c *cpu.Core) error {
 	rt.M.Env.Emit(sim.Event{Comp: c.Name(), Kind: sim.KindSched, Addr: target, Aux: uint64(pid), Note: "board → host call"})
 	call := Descriptor{Kind: DescCall, PID: pid, Target: target, Args: c.Args(), ReplyISA: uint32(c.ISA())}
 	p.Sleep(rt.Costs.NxPHandlerWork + rt.ExtraMigrationLatency)
-	local, slot, seq := mb.StageN2HSlot()
+	local, slot, seq := mb.StageN2HSlot(p)
 	call.Seq = seq
 	rt.writeDescNxP(p, local, call)
 	mb.RegisterWaiter(pid, c.ISA())
@@ -271,7 +274,7 @@ func (rt *Runtime) nxpHandler(p *sim.Proc, c *cpu.Core) error {
 			}
 			p.Sleep(rt.Costs.NxPHandlerWork)
 			back := Descriptor{Kind: DescReturn, PID: pid, RetVal: ret, ReplyISA: d.ReplyISA}
-			local, slot, seq := mb.StageN2HSlot()
+			local, slot, seq := mb.StageN2HSlot(p)
 			back.Seq = seq
 			rt.writeDescNxP(p, local, back)
 			mb.RegisterWaiter(pid, c.ISA())

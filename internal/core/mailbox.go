@@ -95,6 +95,13 @@ type Mailbox struct {
 	// scanInflight), so a migration timeout can never race a still-in-
 	// flight descriptor into a double dispatch.
 	n2hBusy [mailboxSlots]bool
+	// n2hHeld marks arrival slots whose descriptor the host has not yet
+	// taken (TakeN2H). A task whose MSI was lost takes its descriptor only
+	// at the kernel's timeout probe; restaging the slot before then would
+	// hand it another call's descriptor. Staging skips busy and held slots,
+	// and a sender that finds all of them owned waits on n2hFree.
+	n2hHeld [mailboxSlots]bool
+	n2hFree *sim.Cond
 	// scanInflight extends PendingFor to the in-flight slots above. Set
 	// only on multi-board platforms: single-board probes keep their
 	// historical answers bit-for-bit.
@@ -195,6 +202,7 @@ func newMailbox(m *platform.Machine, b *platform.Board, hostStaging, hostArrival
 		}
 		mb.schedC[be.ISA()] = m.Env.NewCond("mailbox" + sfx + ".sched." + be.Name())
 	}
+	mb.n2hFree = m.Env.NewCond("mailbox" + sfx + ".n2h-free")
 	mb.regs = mem.NewMMIO("flick-regs"+sfx, 4096, (*mailboxRegs)(nil).bind(mb))
 	if _, err := m.ExposeNxPDevice(mb.regs, b.LocalRegs); err != nil {
 		return nil, err
@@ -323,6 +331,7 @@ func (mb *Mailbox) retryDMA(dir, tag string, slot, attempt int, descPA uint64, r
 		mb.busyH2N[slot] = false
 	case "n2h":
 		mb.n2hBusy[slot] = false
+		mb.n2hFree.Signal()
 	}
 	if mb.fail == nil {
 		return
@@ -455,19 +464,32 @@ func (mb *Mailbox) WaitH2N(p *sim.Proc, pid uint32, is isa.ISA) int {
 // --- NxP → Host direction ------------------------------------------------
 
 // StageN2HSlot returns the physical address (in the NxP's view) of the
-// next outbound staging slot, its index, and the sequence number to stamp
-// into the descriptor: local BRAM normally, the host arrival buffer
+// next free outbound staging slot, its index, and the sequence number to
+// stamp into the descriptor: local BRAM normally, the host arrival buffer
 // directly in PIO mode. The NxP migration handler or scheduler writes the
-// descriptor there, then rings the N2H doorbell.
-func (mb *Mailbox) StageN2HSlot() (localPA uint64, slot int, seq uint32) {
-	slot = mb.n2hCur % mailboxSlots
-	mb.n2hCur++
-	seq = mb.nextSeq()
-	if mb.pio {
-		return mb.hostArrival + uint64(slot)*DescSize, slot, seq
+// descriptor there, then rings the N2H doorbell. The slot is the first
+// one at or after the cursor whose previous descriptor has both landed
+// and been taken by the host; when every slot is still owned, p waits
+// for one to free.
+func (mb *Mailbox) StageN2HSlot(p *sim.Proc) (localPA uint64, slot int, seq uint32) {
+	for {
+		for i := 0; i < mailboxSlots; i++ {
+			slot = (mb.n2hCur + i) % mailboxSlots
+			if mb.n2hBusy[slot] || mb.n2hHeld[slot] {
+				continue
+			}
+			mb.n2hCur += i + 1
+			seq = mb.nextSeq()
+			if mb.pio {
+				// The staging write lands in the arrival slot itself.
+				mb.n2hHeld[slot] = true
+				return mb.hostArrival + uint64(slot)*DescSize, slot, seq
+			}
+			mb.n2hBusy[slot] = true
+			return mb.bramLocal + n2hStagingOff + uint64(slot)*DescSize, slot, seq
+		}
+		p.Wait(mb.n2hFree)
 	}
-	mb.n2hBusy[slot] = true
-	return mb.bramLocal + n2hStagingOff + uint64(slot)*DescSize, slot, seq
 }
 
 // kickN2H DMAs a staged descriptor from BRAM into the host arrival buffer
@@ -515,6 +537,7 @@ func (mb *Mailbox) n2hArrived(slot int) {
 	}
 	mb.n2hBusy[slot] = false
 	mb.n2hSeq[slot] = d.Seq
+	mb.n2hHeld[slot] = true
 	mb.n2hPending[d.PID] = slot
 	mb.wake(int(d.PID))
 }
@@ -583,13 +606,17 @@ func (mb *Mailbox) HasWaiter(pid uint32, is isa.ISA) bool {
 }
 
 // TakeN2H returns the host-DRAM physical address of the pending arrival
-// descriptor for pid, consuming the pending note.
+// descriptor for pid, consuming the pending note and releasing the slot.
+// The caller reads the descriptor before it next yields, since the slot
+// may be restaged from then on.
 func (mb *Mailbox) TakeN2H(pid uint32) (uint64, bool) {
 	slot, ok := mb.n2hPending[pid]
 	if !ok {
 		return 0, false
 	}
 	delete(mb.n2hPending, pid)
+	mb.n2hHeld[slot] = false
+	mb.n2hFree.Signal()
 	return mb.hostArrival + uint64(slot)*DescSize, true
 }
 

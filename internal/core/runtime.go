@@ -574,7 +574,7 @@ func (rt *Runtime) failTask(pid uint32, err error) {
 func (rt *Runtime) sendReturnToHost(p *sim.Proc, mb *Mailbox, pid uint32, ret uint64) {
 	p.Sleep(rt.Costs.NxPHandlerWork)
 	d := Descriptor{Kind: DescReturn, PID: pid, RetVal: ret}
-	local, slot, seq := mb.StageN2HSlot()
+	local, slot, seq := mb.StageN2HSlot(p)
 	d.Seq = seq
 	rt.writeDescNxP(p, local, d)
 	rt.ringDoorbell(p, mb, regN2HDoorbell, slot)
@@ -593,8 +593,9 @@ func (rt *Runtime) writeDescHost(p *sim.Proc, pa uint64, d Descriptor) {
 }
 
 // readDescHost reads a descriptor from host DRAM with host-side timing.
+// The bytes are taken before the time is charged: the arrival slot was
+// released by TakeN2H and may be restaged while the read is priced.
 func (rt *Runtime) readDescHost(p *sim.Proc, pa uint64) Descriptor {
-	p.Sleep(sim.Duration(DescSize/8) * rt.M.Params.HostDRAMAccess)
 	if err := rt.M.HostView.Read(pa, rt.descBuf[:]); err != nil {
 		panic(fmt.Sprintf("core: arrival read: %v", err))
 	}
@@ -602,6 +603,7 @@ func (rt *Runtime) readDescHost(p *sim.Proc, pa uint64) Descriptor {
 	if err != nil {
 		panic(fmt.Sprintf("core: arrival decode: %v", err))
 	}
+	p.Sleep(sim.Duration(DescSize/8) * rt.M.Params.HostDRAMAccess)
 	return d
 }
 

@@ -17,25 +17,6 @@ func renderScaleOut(t *testing.T, o Options) string {
 	return tab.String()
 }
 
-// TestScaleOutDeterministicAcrossWorkerCounts extends the boards>1
-// determinism gate to the new experiment: the multi-board machines are
-// just as deterministic as the single-board ones, so the rendered table is
-// byte-identical whether its four jobs run serially or eight wide.
-func TestScaleOutDeterministicAcrossWorkerCounts(t *testing.T) {
-	render := func(jobs int) string {
-		o := tiny()
-		o.Jobs = jobs
-		return renderScaleOut(t, o)
-	}
-	serial, parallel := render(1), render(8)
-	if serial != parallel {
-		t.Fatalf("scaleout diverged:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", serial, parallel)
-	}
-	if serial == "" {
-		t.Fatal("scaleout rendered nothing")
-	}
-}
-
 // TestScaleOutDeterministicPerPolicy re-renders each policy's table twice:
 // same options, same bytes — including for boards>1 machines.
 func TestScaleOutDeterministicPerPolicy(t *testing.T) {

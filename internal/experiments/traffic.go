@@ -52,12 +52,10 @@ func trafficCalibrate(o Options, topt TrafficOptions) (traffic.Result, error) {
 		params = &p
 	}
 	return workloads.RunTraffic(workloads.TrafficConfig{
-		Arrivals:    []sim.Time{0},
-		Window:      topt.Window,
-		Params:      params,
-		Boards:      o.Boards,
-		BoardPolicy: o.BoardPolicy,
-		Obs:         o.observer("traffic/calibrate"),
+		Arrivals: []sim.Time{0},
+		Window:   topt.Window,
+		Params:   params,
+		Obs:      o.observer("traffic/calibrate"),
 	})
 }
 
@@ -124,12 +122,10 @@ func Traffic(o Options, topt TrafficOptions, w io.Writer) error {
 
 	runPoint := func(rate float64, job uint64, obs *sim.Observer, params *platform.Params) (traffic.Result, error) {
 		return workloads.RunTraffic(workloads.TrafficConfig{
-			Arrival:     trafficSpec(o, shape, rate, job),
-			Window:      topt.Window,
-			Params:      params,
-			Boards:      o.Boards,
-			BoardPolicy: o.BoardPolicy,
-			Obs:         obs,
+			Arrival: trafficSpec(o, shape, rate, job),
+			Window:  topt.Window,
+			Params:  params,
+			Obs:     obs,
 		})
 	}
 

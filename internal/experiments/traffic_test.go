@@ -24,24 +24,6 @@ func shortTraffic() TrafficOptions {
 	return TrafficOptions{Window: 2 * sim.Millisecond}
 }
 
-// TestTrafficSweepDeterministicAcrossWorkerCounts is the CI determinism
-// gate in miniature: the capacity sweep's bytes must not depend on how
-// many runner workers executed its jobs.
-func TestTrafficSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	render := func(jobs int) string {
-		o := tiny()
-		o.Jobs = jobs
-		return renderTraffic(t, o, shortTraffic())
-	}
-	serial, parallel := render(1), render(8)
-	if serial != parallel {
-		t.Fatalf("traffic sweep diverged:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", serial, parallel)
-	}
-	if serial == "" {
-		t.Fatal("traffic sweep rendered nothing")
-	}
-}
-
 // TestTrafficSweepFindsTheKnee parses the sweep's own artifact: some row
 // must carry the past-the-knee marker — the acceptance criterion that p99
 // blows past trafficKneeFactor× the unloaded mean at high offered load.

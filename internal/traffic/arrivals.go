@@ -4,8 +4,8 @@
 // utilization, capacity knees) that turns a run into a report. Arrival
 // schedules are pure functions of their Spec — the same seed produces the
 // same byte-identical schedule for any worker count, board count, or
-// placement policy, which is what lets the CI determinism gates cover
-// traffic runs (see docs/TRAFFIC.md).
+// placement policy, which is what lets the artifact matrix cover traffic
+// runs (see docs/TRAFFIC.md).
 //
 // The package deliberately depends only on internal/sim: the actual
 // simulation driver lives in internal/workloads (RunTraffic) and the

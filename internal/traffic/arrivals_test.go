@@ -67,7 +67,7 @@ func TestPoissonMeanInterArrival(t *testing.T) {
 }
 
 // TestScheduleDeterministicAndSorted pins the identical-seed property the
-// CI determinism gates rely on, plus monotonicity and the prefix property
+// artifact matrix relies on, plus monotonicity and the prefix property
 // (a shorter window's schedule is a prefix of a longer one's).
 func TestScheduleDeterministicAndSorted(t *testing.T) {
 	for _, spec := range []Spec{

@@ -73,14 +73,10 @@ type TrafficConfig struct {
 	// 15-slot BRAM stack region on every board, since each on-core task
 	// can hold one board stack per board).
 	Cores int
-	// Params is the base machine configuration (faults, board ISAs...);
-	// nil takes the calibrated defaults. HostCores is forced to Cores and
-	// TrafficMetrics is switched on either way.
+	// Params is the machine configuration (boards, policy, faults, board
+	// ISAs...); nil takes the calibrated defaults. HostCores is forced to
+	// Cores and TrafficMetrics is switched on either way.
 	Params *platform.Params
-	// Boards overrides the board count when > 0; BoardPolicy the placement
-	// policy when non-empty.
-	Boards      int
-	BoardPolicy string
 	// Obs, when non-nil, receives the run's observability report.
 	Obs *sim.Observer
 }
@@ -132,12 +128,6 @@ func RunTraffic(cfg TrafficConfig) (traffic.Result, error) {
 		params = *cfg.Params
 	}
 	params.HostCores = cfg.Cores
-	if cfg.Boards > 0 {
-		params.Boards = cfg.Boards
-	}
-	if cfg.BoardPolicy != "" {
-		params.BoardPolicy = cfg.BoardPolicy
-	}
 	params.TrafficMetrics = true
 	sys, err := flick.Build(flick.Config{
 		Params:  &params,

@@ -3,6 +3,7 @@ package workloads
 import (
 	"testing"
 
+	"flick/internal/platform"
 	"flick/internal/sim"
 	"flick/internal/traffic"
 )
@@ -75,11 +76,13 @@ func TestRunTrafficDeterministic(t *testing.T) {
 // board actually serving load.
 func TestRunTrafficThreeBoards(t *testing.T) {
 	for _, policy := range []string{"round-robin", "least-loaded"} {
+		params := platform.DefaultParams()
+		params.Boards = 3
+		params.BoardPolicy = policy
 		r, err := RunTraffic(TrafficConfig{
-			Arrival:     traffic.Spec{Shape: traffic.ShapePoisson, Rate: 30_000, Seed: 5},
-			Window:      2 * sim.Millisecond,
-			Boards:      3,
-			BoardPolicy: policy,
+			Arrival: traffic.Spec{Shape: traffic.ShapePoisson, Rate: 30_000, Seed: 5},
+			Window:  2 * sim.Millisecond,
+			Params:  &params,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", policy, err)
@@ -113,7 +116,9 @@ func TestRunTrafficExitCodesPlacementInvariant(t *testing.T) {
 	spec := traffic.Spec{Shape: traffic.ShapePoisson, Rate: 12_000, Seed: 21}
 	var tasks []int
 	for _, boards := range []int{1, 2, 4} {
-		r, err := RunTraffic(TrafficConfig{Arrival: spec, Window: 2 * sim.Millisecond, Boards: boards})
+		params := platform.DefaultParams()
+		params.Boards = boards
+		r, err := RunTraffic(TrafficConfig{Arrival: spec, Window: 2 * sim.Millisecond, Params: &params})
 		if err != nil {
 			t.Fatalf("boards=%d: %v", boards, err)
 		}
@@ -124,6 +129,31 @@ func TestRunTrafficExitCodesPlacementInvariant(t *testing.T) {
 	}
 	if tasks[0] != tasks[1] || tasks[1] != tasks[2] {
 		t.Errorf("admitted population varies with board count: %v", tasks)
+	}
+}
+
+// TestRunTrafficSurvivesLostMSIs: a task whose return MSI is dropped
+// takes its descriptor only at the kernel's timeout probe, 200µs later.
+// At twice the capacity more than a ring's worth of returns is staged on
+// its board meanwhile, and none may land in the slot it has yet to take:
+// every task must exit with the oracle's value.
+func TestRunTrafficSurvivesLostMSIs(t *testing.T) {
+	for _, boards := range []int{1, 2} {
+		params := platform.DefaultParams()
+		params.Boards = boards
+		params.Faults = "msi.drop=0.1"
+		params.FaultSeed = 7
+		r, err := RunTraffic(TrafficConfig{
+			Arrival: traffic.Spec{Shape: traffic.ShapePoisson, Rate: 22_000 * float64(boards), Seed: 7},
+			Window:  2 * sim.Millisecond,
+			Params:  &params,
+		})
+		if err != nil {
+			t.Fatalf("boards=%d: %v", boards, err)
+		}
+		if r.Failed != 0 {
+			t.Errorf("boards=%d: %d of %d tasks failed", boards, r.Failed, r.Tasks)
+		}
 	}
 }
 
