@@ -33,16 +33,17 @@ fmt-check:
 	@echo "fmt-check: clean"
 
 # The ISA-registry contract: the execution and toolchain layers (cpu,
-# kernel, multibin, asm) dispatch through isa.Backend and its registry,
-# never on a concrete ISA's identity. Adding an ISA must not touch these
-# packages, so naming one here is a regression. Tests are exempt — they
-# pin concrete encodings on purpose.
+# kernel, multibin, asm), the Flick runtime (core) and the public API
+# (flick.go) dispatch through isa.Backend and its registry, never on a
+# concrete ISA's identity. Adding an ISA must not touch these files, so
+# naming one here is a regression. Tests are exempt — they pin concrete
+# encodings on purpose.
 ISA_CONCRETE = isa\.(ISAHost|ISANxP|ISADsp|ISACmp|HostCodec|NxpCodec|DspCodec|CmpCodec|NxpInstrLen|DspInstrLen)
 lint-isa:
-	@bad=$$(grep -nE '$(ISA_CONCRETE)' $$(find internal/cpu internal/kernel internal/multibin internal/asm \
-		-name '*.go' ! -name '*_test.go') /dev/null); \
+	@bad=$$(grep -nE '$(ISA_CONCRETE)' flick.go $$(find internal/cpu internal/kernel internal/multibin internal/asm \
+		internal/core -name '*.go' ! -name '*_test.go') /dev/null); \
 	if [ -n "$$bad" ]; then \
-		echo "lint-isa: concrete ISA references in registry-dispatch packages:"; \
+		echo "lint-isa: concrete ISA references in registry-dispatch code:"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "lint-isa: clean"

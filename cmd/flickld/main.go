@@ -1,7 +1,8 @@
 // Command flickld links Flick objects (.fobj from flickasm, or .fasm
 // sources assembled on the fly) into one multi-ISA image and prints the
 // image map: page-aligned per-ISA segments, the resolved symbol table, and
-// the loader's NX markings.
+// the loader's NX markings. The runtime library is linked for the host and
+// every ISA the inputs carry text for.
 //
 // Usage:
 //
@@ -13,6 +14,7 @@ import (
 	"encoding/gob"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -24,28 +26,49 @@ import (
 )
 
 func main() {
-	entry := flag.String("entry", "main", "entry symbol")
-	noRuntime := flag.Bool("no-runtime", false, "do not link the Flick runtime library")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: flickld [-entry sym] <file.fasm|file.fobj>...")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its environment made explicit so the command is
+// testable in-process: the image map on stdout, diagnostics on stderr.
+// Returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("flickld", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	entry := fs.String("entry", "main", "entry symbol")
+	noRuntime := fs.Bool("no-runtime", false, "do not link the Flick runtime library")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: flickld [-entry sym] <file.fasm|file.fobj>...")
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "flickld:", err)
+		return 1
 	}
 
 	var objects []*multibin.Object
-	for _, path := range flag.Args() {
+	families := []isa.ISA{isa.HostISA()}
+	for _, path := range fs.Args() {
 		obj, err := loadInput(path)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		objects = append(objects, obj)
+		for _, s := range obj.Sections {
+			if s.Kind == multibin.SecText {
+				families = append(families, s.ISA)
+			}
+		}
 	}
 	if !*noRuntime {
-		rt, err := asm.Assemble("flick_runtime.fasm", core.RuntimeSource)
+		lib, err := asm.Assemble("flick_runtime.fasm", core.Library(families))
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		objects = append(objects, rt)
+		objects = append(objects, lib)
 	}
 
 	im, err := multibin.Link(multibin.LinkConfig{
@@ -53,9 +76,10 @@ func main() {
 		PerISASymbols: core.PerISASymbols,
 	}, objects...)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	printImage(im)
+	printImage(stdout, im)
+	return 0
 }
 
 func loadInput(path string) (*multibin.Object, error) {
@@ -78,14 +102,9 @@ func loadInput(path string) (*multibin.Object, error) {
 	return asm.Assemble(path, string(src))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "flickld:", err)
-	os.Exit(1)
-}
-
-func printImage(im *multibin.Image) {
-	fmt.Printf("entry %#x\n\n", im.Entry)
-	fmt.Println("segments (loader NX marking in brackets):")
+func printImage(w io.Writer, im *multibin.Image) {
+	fmt.Fprintf(w, "entry %#x\n\n", im.Entry)
+	fmt.Fprintln(w, "segments (loader NX marking in brackets):")
 	for _, seg := range im.Segments {
 		nx := "NX=1"
 		if seg.Kind == multibin.SecText && isa.IsHost(seg.ISA) {
@@ -95,10 +114,10 @@ func printImage(im *multibin.Image) {
 		if seg.Kind == multibin.SecText && !isa.IsHost(seg.ISA) {
 			note = "  (host execution faults here → migration)"
 		}
-		fmt.Printf("  %-12s %v  [%#010x, %#010x)  %6d bytes  [%s]%s\n",
+		fmt.Fprintf(w, "  %-12s %v  [%#010x, %#010x)  %6d bytes  [%s]%s\n",
 			seg.Name, seg.ISA, seg.VA, seg.End(), len(seg.Bytes), nx, note)
 	}
-	fmt.Println("\nsymbols:")
+	fmt.Fprintln(w, "\nsymbols:")
 	names := make([]string, 0, len(im.Symbols))
 	for n := range im.Symbols {
 		names = append(names, n)
@@ -110,6 +129,6 @@ func printImage(im *multibin.Image) {
 		if target, ok := im.TextISA(va); ok {
 			loc = target.String() + " text"
 		}
-		fmt.Printf("  %#010x  %-28s %s\n", va, n, loc)
+		fmt.Fprintf(w, "  %#010x  %-28s %s\n", va, n, loc)
 	}
 }

@@ -99,35 +99,6 @@ func TestBadBoardPolicyExit2(t *testing.T) {
 	}
 }
 
-// TestBoardsOneIsNoOp is the seed-compatibility gate at the CLI layer: a
-// single-board run with the flags spelled out must be byte-identical to
-// the same invocation without them.
-func TestBoardsOneIsNoOp(t *testing.T) {
-	render := func(extra ...string) (string, []byte) {
-		dir := t.TempDir()
-		mPath := filepath.Join(dir, "m.json")
-		args := append([]string{"-iters", "2", "-quiet", "-metrics-out", mPath}, extra...)
-		args = append(args, "table3")
-		code, stdout, stderr := runCLI(t, args...)
-		if code != 0 {
-			t.Fatalf("args=%v exit = %d, stderr:\n%s", extra, code, stderr)
-		}
-		mb, err := os.ReadFile(mPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stdout, mb
-	}
-	plainOut, plainMetrics := render()
-	flagOut, flagMetrics := render("-boards", "1")
-	if plainOut != flagOut {
-		t.Errorf("-boards 1 changed stdout:\n%s\nvs\n%s", plainOut, flagOut)
-	}
-	if !bytes.Equal(plainMetrics, flagMetrics) {
-		t.Errorf("-boards 1 changed the metrics JSON:\n%s\nvs\n%s", plainMetrics, flagMetrics)
-	}
-}
-
 func TestScaleOutSmoke(t *testing.T) {
 	code, stdout, stderr := runCLI(t, "-iters", "2", "-quiet", "-board-policy", "least-loaded", "scaleout")
 	if code != 0 {
@@ -306,24 +277,5 @@ func TestHostRejectedAsBoardISA(t *testing.T) {
 	}
 	if !strings.Contains(stderr, `"host"`) {
 		t.Errorf("stderr = %q", stderr)
-	}
-}
-
-// TestBoardISANxpIsNoOp extends the seed-compatibility gate: spelling out
-// the default board family must not change a single artifact byte.
-func TestBoardISANxpIsNoOp(t *testing.T) {
-	render := func(extra ...string) string {
-		args := append([]string{"-iters", "2", "-quiet"}, extra...)
-		args = append(args, "table3")
-		code, stdout, stderr := runCLI(t, args...)
-		if code != 0 {
-			t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
-		}
-		return stdout
-	}
-	plain := render()
-	spelled := render("-board-isa", "nxp")
-	if plain != spelled {
-		t.Errorf("-board-isa nxp changed the artifact:\n--- plain ---\n%s\n--- spelled ---\n%s", plain, spelled)
 	}
 }

@@ -114,56 +114,18 @@ func Build(cfg Config) (*System, error) {
 		}
 		objects = append(objects, obj)
 	}
-	// A machine whose boards all carry a non-default family must not link
-	// the nxp runtime stubs: the image would carry .text.nxp no core can
-	// execute, and activation rejects that. Machines with an nxp board
-	// link the historical combined sources byte for byte.
-	hasNxpBoard := false
-	for _, b := range m.Boards {
-		if m.BoardISA(b.Index) == isa.ISANxP {
-			hasNxpBoard = true
-			break
-		}
+	// The runtime library for the host and every family of the board cores
+	// the machine carries; no other family's text may enter the image,
+	// since no core could execute it.
+	families := []isa.ISA{isa.HostISA()}
+	for _, bc := range m.BoardCores {
+		families = append(families, bc.Core.ISA())
 	}
-	runtimeSources := []struct{ name, source string }{
-		{"flick_runtime.fasm", core.RuntimeSource},
-		{"flick_stdlib.fasm", core.StdlibSource},
+	lib, err := asm.Assemble("flick_runtime.fasm", core.Library(families))
+	if err != nil {
+		return nil, fmt.Errorf("flick: runtime library: %w", err)
 	}
-	if !hasNxpBoard {
-		runtimeSources = []struct{ name, source string }{
-			{"flick_runtime.fasm", core.RuntimeHostOnlySource},
-			{"flick_stdlib.fasm", core.StdlibHostOnlySource},
-		}
-	}
-	// Extra per-ISA runtime libraries: the DSP's when that core is enabled,
-	// and one for each non-default board family the machine carries.
-	extra := map[string]bool{}
-	if params.EnableDSP {
-		extra["dsp"] = true
-	}
-	for _, name := range params.BoardISAs {
-		if name != "" && name != "nxp" {
-			extra[name] = true
-		}
-	}
-	for _, name := range []string{"dsp", "cmp"} { // deterministic order
-		if !extra[name] {
-			continue
-		}
-		src, ok := core.RuntimeSourceFor(name)
-		if !ok {
-			return nil, fmt.Errorf("flick: no runtime library for board isa %q", name)
-		}
-		runtimeSources = append(runtimeSources,
-			struct{ name, source string }{"flick_runtime_" + name + ".fasm", src})
-	}
-	for _, rs := range runtimeSources {
-		obj, err := asm.Assemble(rs.name, rs.source)
-		if err != nil {
-			return nil, fmt.Errorf("flick: %s: %w", rs.name, err)
-		}
-		objects = append(objects, obj)
-	}
+	objects = append(objects, lib)
 
 	im, err := multibin.Link(multibin.LinkConfig{
 		Entry:         cfg.Entry,

@@ -382,7 +382,7 @@ func (mb *Mailbox) h2nArrived(slot int) {
 	// of this thread on that core continues there; otherwise the core's
 	// scheduler dispatches a fresh frame.
 	target, ok := mb.route(d.Target)
-	if !ok || target == isa.ISAHost {
+	if !ok || isa.IsHost(target) {
 		mb.env.Emit(sim.Event{Comp: mb.comp, Kind: sim.KindMailbox, Addr: d.Target, Aux: uint64(d.PID), Note: "unroutable call target"})
 		return
 	}

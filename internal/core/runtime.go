@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"flick/internal/cpu"
 	"flick/internal/isa"
@@ -24,184 +27,109 @@ const (
 	NativeMallocNxPFromHost = 5
 )
 
-// RuntimeSource is the Flick runtime library in assembly: the migration
-// handler entry stubs (one per ISA, placed in that ISA's text section so
-// the NX markings are correct) and the per-ISA memory allocators the
-// linker routes `malloc` to (§III-D).
-const RuntimeSource = `
-; Flick runtime library.
-.func __flick_host_handler isa=host
-    native 1
-.endfunc
-
-.func __flick_nxp_handler isa=nxp
-    native 2
-.endfunc
-
-.func malloc.host isa=host
-    native 3
-.endfunc
-
-.func malloc.nxp isa=nxp
-    native 4
-.endfunc
-
-; Annotated allocation: lets host code place data in the NxP region
-; explicitly (the paper's near-storage initialization case).
-.func nxp_malloc isa=host
-    native 5
-.endfunc
-`
-
-// RuntimeHostOnlySource is RuntimeSource without the nxp-family stubs,
-// for machines where no board carries an nxp core (e.g. every board is
-// cmp): the base runtime must not drag .text.nxp into an image no core
-// could ever execute. Machines with at least one nxp board keep linking
-// RuntimeSource unchanged, byte for byte.
-const RuntimeHostOnlySource = `
-; Flick runtime library (host side only).
-.func __flick_host_handler isa=host
-    native 1
-.endfunc
-
-.func malloc.host isa=host
-    native 3
-.endfunc
-
-; Annotated allocation: lets host code place data in the NxP region
-; explicitly (the paper's near-storage initialization case).
-.func nxp_malloc isa=host
-    native 5
-.endfunc
-`
-
-// RuntimeDspSource is the extra runtime library for three-ISA
-// configurations (§IV-C3): the DSP-side migration handler stub and the
-// DSP variants of the per-ISA routed symbols. Linked only when the
-// platform enables the DSP core.
-const RuntimeDspSource = `
-; Flick runtime, DSP additions.
-.func __flick_dsp_handler isa=dsp
-    native 2
-.endfunc
-
-.func malloc.dsp isa=dsp
-    native 4
-.endfunc
-
-.func memcpy.dsp isa=dsp
-    mov  t5, a0
-mloop:
-    beq  a2, zr, mdone
-    ld1  t0, [a1+0]
-    st1  t0, [a0+0]
-    addi a0, a0, 1
-    addi a1, a1, 1
-    addi a2, a2, -1
-    jmp  mloop
-mdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func memset.dsp isa=dsp
-    mov  t5, a0
-sloop:
-    beq  a2, zr, sdone
-    st1  a1, [a0+0]
-    addi a0, a0, 1
-    addi a2, a2, -1
-    jmp  sloop
-sdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func strlen.dsp isa=dsp
-    movi t0, 0
-lloop:
-    ld1  t1, [a0+0]
-    beq  t1, zr, ldone
-    addi t0, t0, 1
-    addi a0, a0, 1
-    jmp  lloop
-ldone:
-    mov  a0, t0
-    ret
-.endfunc
-`
-
-// RuntimeCmpSource is the runtime library for the compressed board ISA:
-// its migration handler stub and the cmp variants of the per-ISA routed
-// symbols. Linked whenever a board carries the cmp core family. The
-// handler stub shares the generic board-handler native with the other
-// board ISAs — the runtime keys its state on the faulting core, not the
-// encoding.
-const RuntimeCmpSource = `
-; Flick runtime, compressed-ISA additions.
-.func __flick_cmp_handler isa=cmp
-    native 2
-.endfunc
-
-.func malloc.cmp isa=cmp
-    native 4
-.endfunc
-
-.func memcpy.cmp isa=cmp
-    mov  t5, a0
-mloop:
-    beq  a2, zr, mdone
-    ld1  t0, [a1+0]
-    st1  t0, [a0+0]
-    addi a0, a0, 1
-    addi a1, a1, 1
-    addi a2, a2, -1
-    jmp  mloop
-mdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func memset.cmp isa=cmp
-    mov  t5, a0
-sloop:
-    beq  a2, zr, sdone
-    st1  a1, [a0+0]
-    addi a0, a0, 1
-    addi a2, a2, -1
-    jmp  sloop
-sdone:
-    mov  a0, t5
-    ret
-.endfunc
-
-.func strlen.cmp isa=cmp
-    movi t0, 0
-lloop:
-    ld1  t1, [a0+0]
-    beq  t1, zr, ldone
-    addi t0, t0, 1
-    addi a0, a0, 1
-    jmp  lloop
-ldone:
-    mov  a0, t0
-    ret
-.endfunc
-`
-
-// RuntimeSourceFor returns the extra runtime library for a non-default
-// board ISA (by backend name), if one ships. The base RuntimeSource covers
-// host and nxp; builders link the returned source when a board carries the
-// named family.
-func RuntimeSourceFor(name string) (string, bool) {
-	switch name {
-	case "dsp":
-		return RuntimeDspSource, true
-	case "cmp":
-		return RuntimeCmpSource, true
+// Library returns the Flick runtime library in assembly for the given ISA
+// families. Each family gets its migration handler stub, placed in that
+// family's text section so the NX markings are correct, and its variants
+// of PerISASymbols: the linker binds each call site to the variant of the
+// calling section's ISA (§III-D), so board code never leaves its core for
+// a malloc or a memcpy. The host half adds nxp_malloc and print_str.
+// Every body is written once; families may repeat and come in any order,
+// and each is emitted once, in ISA-id order.
+//
+//	malloc(size) → ptr          — the calling ISA's heap
+//	memcpy(dst, src, n) → dst
+//	memset(dst, byte, n) → dst
+//	strlen(ptr) → length of the NUL-terminated string
+//	nxp_malloc(size) → ptr      — host only: allocates in board DRAM (the
+//	                              paper's annotated near-storage case)
+//	print_str(ptr)              — host only: writes a NUL-terminated string
+//	                              to the console via sys 2
+func Library(families []isa.ISA) string {
+	var b strings.Builder
+	b.WriteString("; Flick runtime library, generated per ISA family.\n")
+	for _, be := range isa.All() {
+		if !slices.Contains(families, be.ISA()) {
+			continue
+		}
+		fn := func(name, body string) {
+			b.WriteString("\n.func " + name + " isa=" + be.Name() + "\n")
+			b.WriteString(body)
+			b.WriteString(".endfunc\n")
+		}
+		native := func(id int) string { return "    native " + strconv.Itoa(id) + "\n" }
+		handler, malloc := NativeNxPHandler, NativeMallocNxP
+		if be.Host() {
+			handler, malloc = NativeHostHandler, NativeMallocHost
+		}
+		fn("__flick_"+be.Name()+"_handler", native(handler))
+		fn("malloc."+be.Name(), native(malloc))
+		if be.Host() {
+			fn("nxp_malloc", native(NativeMallocNxPFromHost))
+		}
+		fn("memcpy."+be.Name(), memcpyBody)
+		fn("memset."+be.Name(), memsetBody)
+		fn("strlen."+be.Name(), strlenBody)
+		if be.Host() {
+			fn("print_str", printStrBody)
+		}
 	}
-	return "", false
+	return b.String()
 }
+
+// The library's function bodies, in the instruction set every family
+// shares.
+const (
+	memcpyBody = `    ; a0 = dst, a1 = src, a2 = n; returns dst
+    mov  t5, a0
+mloop:
+    beq  a2, zr, mdone
+    ld1  t0, [a1+0]
+    st1  t0, [a0+0]
+    addi a0, a0, 1
+    addi a1, a1, 1
+    addi a2, a2, -1
+    jmp  mloop
+mdone:
+    mov  a0, t5
+    ret
+`
+	memsetBody = `    ; a0 = dst, a1 = fill byte, a2 = n; returns dst
+    mov  t5, a0
+sloop:
+    beq  a2, zr, sdone
+    st1  a1, [a0+0]
+    addi a0, a0, 1
+    addi a2, a2, -1
+    jmp  sloop
+sdone:
+    mov  a0, t5
+    ret
+`
+	strlenBody = `    ; a0 = ptr; returns length
+    movi t0, 0
+lloop:
+    ld1  t1, [a0+0]
+    beq  t1, zr, ldone
+    addi t0, t0, 1
+    addi a0, a0, 1
+    jmp  lloop
+ldone:
+    mov  a0, t0
+    ret
+`
+	printStrBody = `ploop:
+    ld1  t0, [a0+0]
+    beq  t0, zr, pdone
+    push a0
+    mov  a0, t0
+    sys  2
+    pop  a0
+    addi a0, a0, 1
+    jmp  ploop
+pdone:
+    ret
+`
+)
 
 // PerISASymbols lists the symbols the linker resolves per referring ISA
 // when building Flick programs: the allocator (§III-D) and the stdlib
@@ -274,8 +202,8 @@ type Runtime struct {
 	// redirect to, the pid currently executing there, and the last
 	// faulting address (consumed immediately by the handler stub). The
 	// map serves fault-handler lookup; states holds the same entries in
-	// deterministic build order (board 0's NxP, board 0's DSP, then the
-	// later boards' NxP cores) for probe scans and scheduler spawning.
+	// the platform's build order (Machine.BoardCores) for probe scans and
+	// scheduler spawning.
 	board  map[*cpu.Core]*boardState
 	states []*boardState
 
@@ -309,8 +237,9 @@ type boardState struct {
 }
 
 // Activate installs the Flick runtime onto a machine with a loaded
-// program. The program must have been linked with RuntimeSource and
-// PerISASymbols.
+// program. The program must have been linked with PerISASymbols and with
+// Library for the host and every family of the machine's board cores, as
+// flick.Build does.
 func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 	rt := &Runtime{M: m, K: m.Kernel, Prog: prog, Costs: DefaultCosts()}
 
@@ -318,63 +247,26 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 	if rt.hostHandlerVA, err = prog.SymbolVA("__flick_host_handler"); err != nil {
 		return nil, fmt.Errorf("core: program not linked with the Flick runtime: %w", err)
 	}
+	// One state per board core, in the platform's build order. Each core's
+	// faults redirect to its family's handler stub, "__flick_<isa>_handler".
 	rt.board = make(map[*cpu.Core]*boardState)
-	// Each board ISA's migration handler stub is the registered-name
-	// convention "__flick_<isa>_handler", linked from that ISA's runtime
-	// library.
-	handlerVAs := make(map[isa.ISA]uint64)
-	handlerVA := func(is isa.ISA) (uint64, error) {
-		if va, ok := handlerVAs[is]; ok {
-			return va, nil
-		}
+	registered := make(map[isa.ISA]bool)
+	for _, bc := range m.BoardCores {
+		is := bc.Core.ISA()
 		va, err := prog.SymbolVA("__flick_" + is.String() + "_handler")
 		if err != nil {
-			return 0, fmt.Errorf("core: program not linked with the %s runtime: %w", is, err)
+			return nil, fmt.Errorf("core: program not linked with the %s runtime: %w", is, err)
 		}
-		handlerVAs[is] = va
-		return va, nil
-	}
-	addState := func(idx int, core *cpu.Core) error {
-		va, err := handlerVA(core.ISA())
-		if err != nil {
-			return err
-		}
-		st := &boardState{idx: idx, core: core, handlerVA: va}
-		rt.board[core] = st
+		st := &boardState{idx: bc.Board.Index, core: bc.Core, handlerVA: va}
+		rt.board[bc.Core] = st
 		rt.states = append(rt.states, st)
-		return nil
-	}
-	if err := addState(0, m.NxP); err != nil {
-		return nil, err
-	}
-	if m.DSP != nil && hasTextISA(prog, isa.ISADsp) {
-		if err := addState(0, m.DSP); err != nil {
-			return nil, err
-		}
-	}
-	for _, b := range m.Boards[1:] {
-		if err := addState(b.Index, b.NxP); err != nil {
-			return nil, err
-		}
+		registered[is] = true
 	}
 	// Every board ISA the image carries text for needs a core of that
 	// family somewhere, or its calls could never execute.
-	for _, be := range isa.All() {
-		if be.Host() || !hasTextISA(prog, be.ISA()) {
-			continue
-		}
-		found := false
-		for _, st := range rt.states {
-			if st.core.ISA() == be.ISA() {
-				found = true
-				break
-			}
-		}
-		if !found {
-			if be.ISA() == isa.ISADsp {
-				return nil, fmt.Errorf("core: image contains .text.dsp but the platform has no DSP core (set Params.EnableDSP)")
-			}
-			return nil, fmt.Errorf("core: image contains .text.%s but no board carries a %s core (set Params.BoardISAs)", be.Name(), be.Name())
+	for _, seg := range prog.Image.Segments {
+		if seg.Kind == multibin.SecText && !isa.IsHost(seg.ISA) && !registered[seg.ISA] {
+			return nil, fmt.Errorf("core: image contains .text.%s but the platform has no %s core", seg.ISA, seg.ISA)
 		}
 	}
 
@@ -444,10 +336,6 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 
 	// Host side: NX instruction faults targeting any board ISA's text
 	// redirect into the host migration handler.
-	registered := make(map[isa.ISA]bool)
-	for _, st := range rt.states {
-		registered[st.core.ISA()] = true
-	}
 	m.Kernel.SetMigrationRedirect(func(t *kernel.Task, f *cpu.Fault) (uint64, bool) {
 		if target, ok := prog.Image.TextISA(f.VA); ok && registered[target] {
 			rt.stats.NXFaults++
@@ -472,16 +360,6 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 	reg.Gauge("flick.n2h_calls", func() uint64 { return uint64(rt.stats.N2HCalls) })
 	reg.Gauge("flick.nx_faults", func() uint64 { return uint64(rt.stats.NXFaults) })
 	return rt, nil
-}
-
-// hasTextISA reports whether the image carries text for the given ISA.
-func hasTextISA(prog *kernel.Program, is isa.ISA) bool {
-	for _, seg := range prog.Image.Segments {
-		if seg.Kind == multibin.SecText && seg.ISA == is {
-			return true
-		}
-	}
-	return false
 }
 
 // Stats returns the migration counters.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"flick"
+	"flick/internal/isa"
+	"flick/internal/kernel"
 	"flick/internal/platform"
 )
 
@@ -279,5 +281,60 @@ func TestTwoISAProgramStillWorksOnDSPPlatform(t *testing.T) {
 	ret, err := sys.RunProgram("main")
 	if err != nil || ret != 42 {
 		t.Errorf("ret = %d, %v", ret, err)
+	}
+}
+
+// TestDSPCoreOnDSPBoard builds the two-family machine whose board 0 is
+// itself dsp and which also enables the DSP core: host and dsp only, so
+// NX polarity, with two dsp cores on board 0. Both must execute dsp text
+// (NX pages), so every call succeeds whichever core's scheduler takes it.
+func TestDSPCoreOnDSPBoard(t *testing.T) {
+	params := platform.DefaultParams()
+	params.BoardISAs = []string{"dsp"}
+	params.EnableDSP = true
+	params.HostCores = 4
+	sys, err := flick.Build(flick.Config{
+		Params: &params,
+		Sources: map[string]string{"t.fasm": `
+.func main isa=host
+    movi a0, 0
+    call add2
+    call add2
+    call add2
+    call add2
+    call add2
+    halt
+.endfunc
+.func add2 isa=dsp
+    addi a0, a0, 2
+    ret
+.endfunc
+`},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Machine.TaggedISAs() {
+		t.Fatal("host+dsp machine runs tagged; want NX polarity")
+	}
+	var tasks []*kernel.Task
+	for i := 0; i < 4; i++ {
+		task, err := sys.Start("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range tasks {
+		if task.Err != nil || task.State != kernel.TaskDone || task.Ctx.Reg(isa.A0) != 10 {
+			t.Errorf("task %d: state %v, exit %d, err %v; want done, 10, nil",
+				i, task.State, task.Ctx.Reg(isa.A0), task.Err)
+		}
+	}
+	if st := sys.Runtime.Stats(); st.H2NCalls != 20 {
+		t.Errorf("H2NCalls = %d, want 20", st.H2NCalls)
 	}
 }

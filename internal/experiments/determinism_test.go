@@ -51,23 +51,6 @@ func TestAllDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestFig5aParallelMatchesSerial pins the acceptance artifact directly:
-// the fig5a chart at jobs=1 vs jobs=8.
-func TestFig5aParallelMatchesSerial(t *testing.T) {
-	render := func(jobs int) string {
-		o := tiny()
-		o.Jobs = jobs
-		c, err := Fig5a(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.String()
-	}
-	if s, p := render(1), render(8); s != p {
-		t.Fatalf("fig5a diverged:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", s, p)
-	}
-}
-
 // TestProgressReportsEveryJob checks the observability contract: a run
 // reports exactly one start and one finish per emitted job.
 func TestProgressReportsEveryJob(t *testing.T) {

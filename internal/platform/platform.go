@@ -71,9 +71,9 @@ type Params struct {
 	BoardISAs []string
 
 	// EnableDSP adds a second board core with the third ISA (the paper's
-	// §IV-C3 "more than two ISAs" extension). All cores then run in
-	// PTE-tagged execution mode instead of NX polarity. The DSP lives on
-	// board 0.
+	// §IV-C3 "more than two ISAs" extension). The DSP lives on board 0.
+	// Unless every board is dsp too, that makes three distinct core ISAs,
+	// so all cores run in PTE-tagged execution mode instead of NX polarity.
 	EnableDSP bool
 	DSPCycle  sim.Duration // 400 MHz when enabled
 
@@ -160,10 +160,10 @@ func (p *Params) SimParLookahead() sim.Duration {
 	return p.Link.ReadLatency(8) + p.HostDRAMDevice
 }
 
-// Board is one PCIe-attached NxP board: its core, memories, BAR windows,
-// and descriptor DMA engine. Board 0 aliases the Machine's single-board
-// fields (NxPDDR, DDRBar, DMA, NxP, ...), which keep their historical
-// names and behavior.
+// Board is one PCIe-attached NxP board: its memories, BAR windows, and
+// descriptor DMA engine (its cores are in Machine.BoardCores). Board 0
+// aliases the Machine's single-board fields (NxPDDR, DDRBar, DMA, ...),
+// which keep their historical names and behavior.
 type Board struct {
 	Index int
 
@@ -174,13 +174,17 @@ type Board struct {
 	BRAMBar pcie.BAR
 	DMA     *pcie.Engine
 
-	NxP *cpu.Core
-
 	// Board-local physical bases in the shared NxP view. Board 0 sits at
 	// the Local*Base constants; later boards are strided above them.
 	LocalDDR  uint64
 	LocalBRAM uint64
 	LocalRegs uint64
+}
+
+// BoardCore is one board-side core together with the board it sits on.
+type BoardCore struct {
+	Board *Board
+	Core  *cpu.Core
 }
 
 // coreTLBSet records the TLBs belonging to one core, in build order — the
@@ -218,9 +222,11 @@ type Machine struct {
 	Natives *cpu.NativeTable
 	Host    *cpu.Core // the first host core
 	Hosts   []*cpu.Core
-	NxP     *cpu.Core // board 0's NxP core
-	// DSP is the second board-0 core (nil unless Params.EnableDSP).
-	DSP *cpu.Core
+	NxP     *cpu.Core // board 0's primary core
+	// BoardCores lists every board-side core with its board, in build
+	// order: board 0's primary core, the DSP when Params.EnableDSP, then
+	// the later boards' primary cores.
+	BoardCores []BoardCore
 
 	Kernel *kernel.Kernel
 
@@ -429,12 +435,8 @@ func New(params Params) (*Machine, error) {
 	// components only when a report is taken.
 	reg := m.Env.Metrics()
 	cores := append([]*cpu.Core{}, m.Hosts...)
-	cores = append(cores, m.NxP)
-	if m.DSP != nil {
-		cores = append(cores, m.DSP)
-	}
-	for _, b := range m.Boards[1:] {
-		cores = append(cores, b.NxP)
+	for _, bc := range m.BoardCores {
+		cores = append(cores, bc.Core)
 	}
 	for _, c := range cores {
 		c.Register(reg)
@@ -454,11 +456,8 @@ func New(params Params) (*Machine, error) {
 	// Each board's core families, for capability-aware placement: the
 	// board's primary core, plus the DSP riding on board 0 when enabled.
 	boardCaps := make([][]isa.ISA, nBoards)
-	for i, is := range m.boardISAs {
-		boardCaps[i] = []isa.ISA{is}
-	}
-	if params.EnableDSP {
-		boardCaps[0] = append(boardCaps[0], isa.ISADsp)
+	for _, bc := range m.BoardCores {
+		boardCaps[bc.Board.Index] = append(boardCaps[bc.Board.Index], bc.Core.ISA())
 	}
 
 	m.Kernel = kernel.New(kernel.Config{
@@ -578,92 +577,31 @@ func (m *Machine) buildCores() {
 	}
 	m.Host = m.Hosts[0]
 
-	// NxP MMUs: microcoded walker crossing the link to read host-resident
-	// page tables (§IV-A), with BAR remapping programmed by the driver.
+	// Board cores: microcoded MMU walkers crossing the link to read
+	// host-resident page tables (§IV-A), and TLBs carrying every board's
+	// BAR remap windows. Board 0's components keep the bare ISA prefix
+	// ("nxp-itlb") the single-board machine always had; later boards
+	// append their index. Every board core is named "<isa><board>".
 	nxpWalk := func(pa uint64) sim.Duration {
 		return p.Link.ReadLatency(8) + p.HostDRAMDevice
 	}
-	b0 := m.Boards[0]
-	b0ISA := m.boardISAs[0]
-	// Board 0's component names keep the bare ISA prefix ("nxp-itlb") the
-	// single-board machine always had; its core is "<isa>0".
-	b0Pfx := b0ISA.String()
-	b0Name := b0Pfx + "0"
-	nITLB := tlb.New(b0Pfx+"-itlb", p.NxPITLB)
-	nDTLB := tlb.New(b0Pfx+"-dtlb", p.NxPDTLB)
-	for _, t := range []*tlb.TLB{nITLB, nDTLB} {
-		m.addBoardRemaps(t)
-		m.nxpTLBs = append(m.nxpTLBs, t)
-	}
-	m.NxP = cpu.New(cpu.Config{
-		Name: b0Name, ISA: b0ISA,
-		IMMU:          mmu.New(b0Pfx+"-immu", nITLB, m.Tables, nxpWalk, p.NxPWalkPerReq),
-		DMMU:          mmu.New(b0Pfx+"-dmmu", nDTLB, m.Tables, nxpWalk, p.NxPWalkPerReq),
-		Phys:          m.NxPView,
-		CycleTime:     p.NxPCycle,
-		ExecNX:        true,
-		ISATag:        tagOf(b0ISA),
-		AccessCost:    m.boardAccessCost(b0),
-		FetchCost:     m.boardFetchCost(b0),
-		ICacheLines:   p.NxPICacheLines,
-		Natives:       m.Natives,
-		SpuriousFault: spurious,
-		PhaseDomain:   phaseDomain(0),
-		PhaseLocal:    m.phaseLocal(b0),
-	})
-	b0.NxP = m.NxP
-	m.coreTLBSets = append(m.coreTLBSets,
-		coreTLBSet{name: b0Name, core: m.NxP, tlbs: []*tlb.TLB{nITLB, nDTLB}})
-
-	if p.EnableDSP {
-		dspCycle := p.DSPCycle
-		if dspCycle == 0 {
-			dspCycle = 2500 * sim.Picosecond // 400 MHz
-		}
-		dITLB := tlb.New("dsp-itlb", p.NxPITLB)
-		dDTLB := tlb.New("dsp-dtlb", p.NxPDTLB)
-		for _, t := range []*tlb.TLB{dITLB, dDTLB} {
-			m.addBoardRemaps(t)
-			m.nxpTLBs = append(m.nxpTLBs, t)
-		}
-		m.DSP = cpu.New(cpu.Config{
-			Name: "dsp0", ISA: isa.ISADsp,
-			IMMU:          mmu.New("dsp-immu", dITLB, m.Tables, nxpWalk, p.NxPWalkPerReq),
-			DMMU:          mmu.New("dsp-dmmu", dDTLB, m.Tables, nxpWalk, p.NxPWalkPerReq),
-			Phys:          m.NxPView,
-			CycleTime:     dspCycle,
-			ISATag:        tagOf(isa.ISADsp),
-			AccessCost:    m.boardAccessCost(b0),
-			FetchCost:     m.boardFetchCost(b0),
-			ICacheLines:   p.NxPICacheLines,
-			Natives:       m.Natives,
-			SpuriousFault: spurious,
-			PhaseDomain:   phaseDomain(0),
-			PhaseLocal:    m.phaseLocal(b0),
-		})
-		m.coreTLBSets = append(m.coreTLBSets,
-			coreTLBSet{name: "dsp0", core: m.DSP, tlbs: []*tlb.TLB{dITLB, dDTLB}})
-	}
-
-	// Primary cores of the additional boards (board 0, built above, keeps
-	// the historical names).
-	for _, b := range m.Boards[1:] {
-		bISA := m.boardISAs[b.Index]
-		name := fmt.Sprintf("%s%d", bISA, b.Index)
-		iT := tlb.New(name+"-itlb", p.NxPITLB)
-		dT := tlb.New(name+"-dtlb", p.NxPDTLB)
+	boardCore := func(b *Board, is isa.ISA, cycle sim.Duration) {
+		pfx := is.String() + boardSfx(b.Index)
+		name := fmt.Sprintf("%s%d", is, b.Index)
+		iT := tlb.New(pfx+"-itlb", p.NxPITLB)
+		dT := tlb.New(pfx+"-dtlb", p.NxPDTLB)
 		for _, t := range []*tlb.TLB{iT, dT} {
 			m.addBoardRemaps(t)
 			m.nxpTLBs = append(m.nxpTLBs, t)
 		}
-		b.NxP = cpu.New(cpu.Config{
-			Name: name, ISA: bISA,
-			IMMU:          mmu.New(name+"-immu", iT, m.Tables, nxpWalk, p.NxPWalkPerReq),
-			DMMU:          mmu.New(name+"-dmmu", dT, m.Tables, nxpWalk, p.NxPWalkPerReq),
+		c := cpu.New(cpu.Config{
+			Name: name, ISA: is,
+			IMMU:          mmu.New(pfx+"-immu", iT, m.Tables, nxpWalk, p.NxPWalkPerReq),
+			DMMU:          mmu.New(pfx+"-dmmu", dT, m.Tables, nxpWalk, p.NxPWalkPerReq),
 			Phys:          m.NxPView,
-			CycleTime:     p.NxPCycle,
-			ExecNX:        true,
-			ISATag:        tagOf(bISA),
+			CycleTime:     cycle,
+			ExecNX:        true, // under NX polarity every board core runs NX text; tags ignore it
+			ISATag:        tagOf(is),
 			AccessCost:    m.boardAccessCost(b),
 			FetchCost:     m.boardFetchCost(b),
 			ICacheLines:   p.NxPICacheLines,
@@ -672,9 +610,20 @@ func (m *Machine) buildCores() {
 			PhaseDomain:   phaseDomain(b.Index),
 			PhaseLocal:    m.phaseLocal(b),
 		})
-		m.coreTLBSets = append(m.coreTLBSets,
-			coreTLBSet{name: name, core: b.NxP, tlbs: []*tlb.TLB{iT, dT}})
+		m.coreTLBSets = append(m.coreTLBSets, coreTLBSet{name: name, core: c, tlbs: []*tlb.TLB{iT, dT}})
+		m.BoardCores = append(m.BoardCores, BoardCore{Board: b, Core: c})
 	}
+	for _, b := range m.Boards {
+		boardCore(b, m.boardISAs[b.Index], p.NxPCycle)
+		if b.Index == 0 && p.EnableDSP {
+			dspCycle := p.DSPCycle
+			if dspCycle == 0 {
+				dspCycle = 2500 * sim.Picosecond // 400 MHz
+			}
+			boardCore(b, isa.ISADsp, dspCycle)
+		}
+	}
+	m.NxP = m.BoardCores[0].Core
 }
 
 // phaseDomain is the run-ahead domain tag for a board's cores: 1 + board

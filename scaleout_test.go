@@ -256,8 +256,8 @@ func TestScaleOutThroughputIncreases(t *testing.T) {
 
 // TestScaleOutAllCmpBoards runs the same workload on machines whose every
 // board carries the compressed ISA: no nxp core exists, so the build must
-// link the host-only base runtime (plus the cmp library) and the work
-// function assembles for cmp. The workload's built-in oracle checks every
+// link the runtime library for host and cmp only, and the work function
+// assembles for cmp. The workload's built-in oracle checks every
 // exit code, and throughput must still scale with boards.
 func TestScaleOutAllCmpBoards(t *testing.T) {
 	var prev float64
