@@ -1,10 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§V), plus ablations of the design choices called out in DESIGN.md §5.
 //
-// Reported metrics are *virtual-time* results from the simulated platform
-// (µs of migration overhead, normalized performance, speedups); the wall
-// time Go reports per iteration is merely the cost of running the
-// simulation. Set FLICK_FULL=1 for paper-scale parameters (minutes).
+// The paper benchmarks run the internal/experiments generators that
+// flicksim runs, or the single-machine runs they sweep. Reported metrics
+// are *virtual-time* results from the simulated platform (µs of migration
+// overhead, normalized performance, speedups); the wall time Go reports
+// per iteration is merely the cost of running the simulation. Set
+// FLICK_FULL=1 for paper-scale parameters (minutes).
 package flick_test
 
 import (
@@ -18,6 +20,7 @@ import (
 	"flick/internal/experiments"
 	"flick/internal/platform"
 	"flick/internal/sim"
+	"flick/internal/stats"
 	"flick/internal/workloads"
 )
 
@@ -32,35 +35,29 @@ func opts() experiments.Options {
 	return o
 }
 
+// table3 runs the Table III experiment, the measured round trips.
+func table3(b *testing.B) *workloads.NullCallResult {
+	var r *workloads.NullCallResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		if _, r, err = experiments.Table3(opts()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return r
+}
+
 // BenchmarkTable3_HostNxPHost regenerates Table III's first column: the
 // average host→NxP→host null-call round trip (paper: 18.3 µs).
 func BenchmarkTable3_HostNxPHost(b *testing.B) {
-	o := opts()
-	var last workloads.NullCallResult
-	for i := 0; i < b.N; i++ {
-		r, err := workloads.RunNullCall(workloads.NullCallConfig{Iterations: o.NullCallIters})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(last.HostNxPHost.Microseconds(), "virt-µs/roundtrip")
+	b.ReportMetric(table3(b).HostNxPHost.Microseconds(), "virt-µs/roundtrip")
 	b.ReportMetric(18.3, "paper-µs/roundtrip")
 }
 
 // BenchmarkTable3_NxPHostNxP regenerates Table III's second column
 // (paper: 16.9 µs).
 func BenchmarkTable3_NxPHostNxP(b *testing.B) {
-	o := opts()
-	var last workloads.NullCallResult
-	for i := 0; i < b.N; i++ {
-		r, err := workloads.RunNullCall(workloads.NullCallConfig{Iterations: o.NullCallIters})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(last.NxPHostNxP.Microseconds(), "virt-µs/roundtrip")
+	b.ReportMetric(table3(b).NxPHostNxP.Microseconds(), "virt-µs/roundtrip")
 	b.ReportMetric(16.9, "paper-µs/roundtrip")
 }
 
@@ -68,15 +65,7 @@ func BenchmarkTable3_NxPHostNxP(b *testing.B) {
 // measured round trip against the published overheads of prior
 // heterogeneous-ISA migration systems (paper: 23x-38x).
 func BenchmarkTable2_SpeedupOverPriorWork(b *testing.B) {
-	o := opts()
-	var flickRT sim.Duration
-	for i := 0; i < b.N; i++ {
-		r, err := workloads.RunNullCall(workloads.NullCallConfig{Iterations: o.NullCallIters})
-		if err != nil {
-			b.Fatal(err)
-		}
-		flickRT = r.HostNxPHost
-	}
+	flickRT := table3(b).HostNxPHost
 	for _, w := range baseline.Table2Rows {
 		// Metric units must be whitespace-free; use the venue token.
 		name, _, _ := strings.Cut(w.Name, " ")
@@ -84,75 +73,69 @@ func BenchmarkTable2_SpeedupOverPriorWork(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5a regenerates Figure 5a's three curves at representative
-// x positions; the full-resolution sweep is `flicksim fig5a`.
-func BenchmarkFig5a(b *testing.B) {
-	points := []int{8, 32, 128, 512}
-	var flickPts, slowPts []workloads.PointerChasePoint
+// fig5 runs one Figure 5 panel at representative x positions; the
+// full-resolution sweep is `flicksim fig5a` / `flicksim fig5b`.
+func fig5(b *testing.B, panel func(experiments.Options) (*stats.Chart, error)) *stats.Chart {
+	o := opts()
+	o.ChasePoints = []int{8, 32, 128, 512}
+	o.ChaseCalls = 3
+	var c *stats.Chart
 	for i := 0; i < b.N; i++ {
 		var err error
-		flickPts, err = workloads.SweepPointerChase(points, 3, 0, false, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		slowPts, err = workloads.SweepPointerChase(points, 2, 500*sim.Microsecond, false, 42)
-		if err != nil {
+		if c, err = panel(o); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for i, p := range flickPts {
-		b.ReportMetric(p.Normalized, fmt.Sprintf("flick-norm@%d", p.Nodes))
-		b.ReportMetric(slowPts[i].Normalized, fmt.Sprintf("slow500µs-norm@%d", p.Nodes))
+	return c
+}
+
+// BenchmarkFig5a regenerates Figure 5a's Flick and 500 µs-migration
+// curves.
+func BenchmarkFig5a(b *testing.B) {
+	c := fig5(b, experiments.Fig5a)
+	flickLine, slowLine := c.Series[0], c.Series[1]
+	for i, x := range flickLine.X {
+		b.ReportMetric(flickLine.Y[i], fmt.Sprintf("flick-norm@%.0f", x))
+		b.ReportMetric(slowLine.Y[i], fmt.Sprintf("slow500µs-norm@%.0f", x))
 	}
 }
 
 // BenchmarkFig5b regenerates Figure 5b (one migration per 100 µs).
 func BenchmarkFig5b(b *testing.B) {
-	points := []int{8, 32, 128, 512}
-	var pts []workloads.PointerChasePoint
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, err = workloads.SweepPointerChase(points, 3, 0, true, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, p := range pts {
-		b.ReportMetric(p.Normalized, fmt.Sprintf("flick-norm@%d", p.Nodes))
+	flickLine := fig5(b, experiments.Fig5b).Series[0]
+	for i, x := range flickLine.X {
+		b.ReportMetric(flickLine.Y[i], fmt.Sprintf("flick-norm@%.0f", x))
 	}
 }
 
-// benchTable4 runs one Table IV row and reports baseline/Flick seconds and
-// the speedup (paper: 0.75x / 1.19x / 1.09x).
-func benchTable4(b *testing.B, d workloads.Dataset, paperSpeedup float64) {
-	o := opts()
-	ds := d.Scale(o.BFSScale)
-	var row workloads.Table4Row
+// BenchmarkTable4 regenerates Table IV and reports each dataset's
+// baseline and Flick seconds and the speedup (paper: 0.75x / 1.19x /
+// 1.09x).
+func BenchmarkTable4(b *testing.B) {
+	var rows []workloads.Table4Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		row, err = workloads.RunTable4Row(ds, o.BFSIters, o.Seed, nil)
-		if err != nil {
+		if _, rows, err = experiments.Table4(opts()); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(row.Baseline.Seconds(), "virt-s-baseline")
-	b.ReportMetric(row.Flick.Seconds(), "virt-s-flick")
-	b.ReportMetric(row.Speedup, "x-speedup")
-	b.ReportMetric(paperSpeedup, "x-paper")
+	paper := map[string]float64{"Epinions1": 0.75, "Pokec": 1.19, "LiveJournal1": 1.09}
+	for _, row := range rows {
+		name, _, _ := strings.Cut(row.Dataset.Name, "/") // scaled datasets are named "<dataset>/<divisor>"
+		b.ReportMetric(row.Baseline.Seconds(), "virt-s-baseline-"+name)
+		b.ReportMetric(row.Flick.Seconds(), "virt-s-flick-"+name)
+		b.ReportMetric(row.Speedup, "x-speedup-"+name)
+		b.ReportMetric(paper[name], "x-paper-"+name)
+	}
 }
-
-func BenchmarkTable4_Epinions1(b *testing.B)    { benchTable4(b, workloads.Epinions1, 0.75) }
-func BenchmarkTable4_Pokec(b *testing.B)        { benchTable4(b, workloads.Pokec, 1.19) }
-func BenchmarkTable4_LiveJournal1(b *testing.B) { benchTable4(b, workloads.LiveJournal1, 1.09) }
 
 // BenchmarkAccessLatency regenerates the §V access-latency measurements
 // (paper: 825 ns host→NxP storage, 267 ns NxP local).
 func BenchmarkAccessLatency(b *testing.B) {
-	var r workloads.LatencyResult
+	var r *workloads.LatencyResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = workloads.MeasureLatencies(500, nil)
-		if err != nil {
+		if _, r, err = experiments.Latency(opts()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -314,7 +297,9 @@ func BenchmarkAblation_TransparencyCost(b *testing.B) {
 // per virtual second versus board count.
 func BenchmarkScaleOut(b *testing.B) {
 	run := func(boards int) float64 {
-		total, calls, err := workloads.RunScaleOut(8, 12, boards, "", nil, nil)
+		p := platform.DefaultParams()
+		p.Boards = boards
+		total, calls, err := workloads.RunScaleOut(8, 12, &p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -333,41 +318,16 @@ func BenchmarkScaleOut(b *testing.B) {
 }
 
 // BenchmarkMultiTenantNxP measures board contention: several host threads
-// (one per host core) share the single NxP through Flick migrations. The
-// metric is aggregate migrated calls per virtual second versus tenants.
+// (one per host core) share the single NxP through Flick migrations, each
+// making the tenants experiment's calls. The metric is aggregate migrated
+// calls per virtual second versus tenants.
 func BenchmarkMultiTenantNxP(b *testing.B) {
-	src := `
-.func main isa=host
-    movi t4, 20
-l:
-    call nxp_job
-    addi t4, t4, -1
-    bne  t4, zr, l
-    movi a0, 0
-    sys  1
-.endfunc
-.func nxp_job isa=nxp
-    li   t0, 1000
-w:
-    addi t0, t0, -1
-    bne  t0, zr, w
-    ret
-.endfunc
-`
 	run := func(tenants int) float64 {
-		params := platform.DefaultParams()
-		params.HostCores = tenants
-		sys := flick.MustBuild(flick.Config{Params: &params, Sources: map[string]string{"mt.fasm": src}})
-		for i := 0; i < tenants; i++ {
-			if _, err := sys.Start("main"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := sys.Run(); err != nil {
+		total, calls, err := workloads.RunMultiTenant(tenants, experiments.TenantCalls, nil, nil)
+		if err != nil {
 			b.Fatal(err)
 		}
-		calls := float64(sys.Runtime.Stats().H2NCalls)
-		return calls / (float64(sys.Now()) / float64(sim.Second))
+		return float64(calls) / total.Seconds()
 	}
 	var one, four float64
 	for i := 0; i < b.N; i++ {
@@ -417,7 +377,9 @@ func BenchmarkScaleOutThroughput(b *testing.B) {
 					OnReport: func(r sim.Report) { snap = r.Metrics },
 					OnSimPar: func(sp sim.SimParStats) { phases += sp.Phases },
 				}
-				if _, _, err := workloads.RunScaleOut(8, 12, boards, "", nil, obs); err != nil {
+				p := platform.DefaultParams()
+				p.Boards = boards
+				if _, _, err := workloads.RunScaleOut(8, 12, &p, obs); err != nil {
 					b.Fatal(err)
 				}
 				for _, c := range snap.Counters {

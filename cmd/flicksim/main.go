@@ -27,6 +27,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -76,15 +77,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file (see docs/PERFORMANCE.md)")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	fs.Usage = func() {
+		ids := append(experiments.IDs(), "all")
+		for _, r := range experiments.Modes(experiments.TrafficOptions{}) {
+			ids = append(ids, r.ID)
+		}
 		fmt.Fprintf(stderr, "usage: flicksim [flags] <experiment>...\n")
-		fmt.Fprintf(stderr, "experiments: %s all soak scaleout traffic\n", strings.Join(experiments.IDs(), " "))
+		fmt.Fprintf(stderr, "experiments: %s\n", strings.Join(ids, " "))
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	modes := experiments.Modes(experiments.TrafficOptions{
+		Arrival: *arrival,
+		Rate:    *rate,
+		Window:  sim.FromStd(*duration),
+		SLO:     sim.FromStd(*slo),
+	})
 	if *list {
-		printList(stdout)
+		printList(stdout, modes)
 		return 0
 	}
 	if fs.NArg() == 0 {
@@ -176,65 +187,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.Obs = stats.NewObs(traceCap)
 	}
 
+	runners := slices.Concat(experiments.Registry, modes)
 	ids := fs.Args()
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = experiments.IDs()
 	}
 	for _, id := range ids {
-		// scaleout is not a registry experiment (it is a multi-board
-		// extension, not a paper artifact, so "all" does not include it).
-		if id == "scaleout" {
-			start := time.Now()
-			t, err := experiments.ScaleOut(o)
-			if err != nil {
-				fmt.Fprintf(stderr, "flicksim: scaleout: %v\n", err)
-				return 1
-			}
-			t.Render(stdout)
-			fmt.Fprintln(stdout)
-			fmt.Fprintf(stderr, "  [scaleout regenerated in %.1fs wall time, %d jobs wide]\n",
-				time.Since(start).Seconds(), o.Jobs)
-			continue
-		}
-		// traffic is not a registry experiment (it is the open-loop SLO
-		// mode, not a paper artifact, so "all" does not include it).
-		if id == "traffic" {
-			start := time.Now()
-			topt := experiments.TrafficOptions{
-				Arrival: *arrival,
-				Rate:    *rate,
-				Window:  sim.FromStd(*duration),
-				SLO:     sim.FromStd(*slo),
-			}
-			if err := experiments.Traffic(o, topt, stdout); err != nil {
-				fmt.Fprintf(stderr, "flicksim: traffic: %v\n", err)
-				return 1
-			}
-			fmt.Fprintln(stdout)
-			fmt.Fprintf(stderr, "  [traffic regenerated in %.1fs wall time, %d jobs wide]\n",
-				time.Since(start).Seconds(), o.Jobs)
-			continue
-		}
-		// soak is not a registry experiment (it is a robustness gate, not a
-		// paper artifact, so "all" does not include it).
-		if id == "soak" {
-			start := time.Now()
-			if err := experiments.Soak(o, stdout); err != nil {
-				fmt.Fprintf(stderr, "flicksim: soak: %v\n", err)
-				return 1
-			}
-			fmt.Fprintln(stdout)
-			fmt.Fprintf(stderr, "  [soak passed in %.1fs wall time, %d jobs wide]\n",
-				time.Since(start).Seconds(), o.Jobs)
-			continue
-		}
-		r, ok := experiments.Get(id)
-		if !ok {
+		i := slices.IndexFunc(runners, func(r experiments.Runner) bool { return r.ID == id })
+		if i < 0 {
 			fmt.Fprintf(stderr, "flicksim: unknown experiment %q\n", id)
 			return 2
 		}
 		start := time.Now()
-		if err := r.Run(o, stdout); err != nil {
+		if err := runners[i].Run(o, stdout); err != nil {
 			fmt.Fprintf(stderr, "flicksim: %s: %v\n", id, err)
 			return 1
 		}
@@ -259,16 +224,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // printList reports what this build can simulate: every registry
-// experiment plus the extension runs, and every ISA backend the binary
-// registered (the -board-isa vocabulary).
-func printList(w io.Writer) {
+// experiment plus the modes outside 'all', and every ISA backend the
+// binary registered (the -board-isa vocabulary).
+func printList(w io.Writer, modes []experiments.Runner) {
 	fmt.Fprintln(w, "experiments:")
 	for _, id := range experiments.IDs() {
 		fmt.Fprintf(w, "  %s\n", id)
 	}
-	fmt.Fprintln(w, "  scaleout  (multi-board extension; not part of 'all')")
-	fmt.Fprintln(w, "  soak      (robustness gate; not part of 'all')")
-	fmt.Fprintln(w, "  traffic   (open-loop SLO mode; not part of 'all')")
+	for _, r := range modes {
+		fmt.Fprintf(w, "  %-9s (%s; not part of 'all')\n", r.ID, r.Title)
+	}
 	fmt.Fprintln(w, "isas:")
 	for _, be := range isa.All() {
 		role := "board"

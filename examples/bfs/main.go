@@ -2,7 +2,7 @@
 // graphs shaped like the paper's SNAP datasets, stores them in the
 // simulated board DRAM, and compares a Flick-migrated traversal (with a
 // host callback per discovered vertex, as in the paper) against the host
-// traversing over PCIe.
+// traversing over PCIe: the table4 experiment (`flicksim table4`).
 //
 // Run: go run ./examples/bfs            (scaled datasets, seconds)
 //
@@ -14,32 +14,38 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"strings"
 
+	"flick/internal/experiments"
 	"flick/internal/stats"
-	"flick/internal/workloads"
 )
 
 func main() {
 	scale := flag.Int("scale", 64, "dataset size divisor (1 = paper scale)")
 	flag.Parse()
 
+	o := experiments.Quick()
+	o.BFSScale = *scale
+	o.Jobs = runtime.NumCPU()
+	fmt.Printf("running Table IV at 1/%d of the paper's dataset sizes...\n", *scale)
+	_, rows, err := experiments.Table4(o)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	table := &stats.Table{
 		Title:   "Table IV (condensed): BFS execution time per iteration",
 		Headers: []string{"Dataset", "V", "E", "E/V", "Baseline", "Flick", "Speedup", "Paper"},
 	}
 	paper := map[string]string{"Epinions1": "0.75x", "Pokec": "1.19x", "LiveJournal1": "1.09x"}
-
-	for _, d := range workloads.Table4Datasets {
-		ds := d.Scale(*scale)
-		fmt.Printf("running %s (%d vertices, %d edges)...\n", ds.Name, ds.Vertices, ds.Edges)
-		row, err := workloads.RunTable4Row(ds, 1, 42, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for _, row := range rows {
+		ds := row.Dataset
+		name, _, _ := strings.Cut(ds.Name, "/") // scaled datasets are named "<dataset>/<divisor>"
 		table.AddRow(ds.Name, ds.Vertices, ds.Edges,
 			fmt.Sprintf("%.1f", float64(ds.Edges)/float64(ds.Vertices)),
 			row.Baseline, row.Flick,
-			fmt.Sprintf("%.2fx", row.Speedup), paper[d.Name])
+			fmt.Sprintf("%.2fx", row.Speedup), paper[name])
 	}
 	fmt.Println()
 	table.Render(os.Stdout)

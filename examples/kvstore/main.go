@@ -2,7 +2,8 @@
 // motivates. A hash table lives in the device's DRAM; the host streams
 // lookups against it. Flick migrates the lookup batch next to the table;
 // the baseline probes it across PCIe. The batch size is the application-
-// shaped version of Figure 5's "work per migration" axis.
+// shaped version of Figure 5's "work per migration" axis. This runs the
+// kv experiment (`flicksim kv`).
 //
 // Run: go run ./examples/kvstore
 package main
@@ -11,24 +12,17 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 
-	"flick/internal/stats"
-	"flick/internal/workloads"
+	"flick/internal/experiments"
 )
 
 func main() {
-	batches := []int{1, 2, 4, 8, 16, 32, 64, 128}
-	pts, err := workloads.SweepKVBatch(batches, 256, 11)
+	o := experiments.Quick()
+	o.Jobs = runtime.NumCPU()
+	table, err := experiments.KVStore(o)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	table := &stats.Table{
-		Title:   "Near-data KV lookups: per-lookup latency vs batch size",
-		Headers: []string{"batch", "Flick/lookup", "host-direct/lookup", "normalized"},
-	}
-	for _, p := range pts {
-		table.AddRow(p.Batch, p.Flick, p.Baseline, fmt.Sprintf("%.2fx", p.Normalized))
 	}
 	table.Render(os.Stdout)
 

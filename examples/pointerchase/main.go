@@ -1,7 +1,8 @@
-// Pointer chasing: a condensed Figure 5a. Sweeps the number of memory
-// accesses performed per migration and prints the normalized performance
-// of Flick (and of two emulated slower-migration systems) against a host
-// that chases the pointers across PCIe without migrating.
+// Pointer chasing: a condensed Figure 5a. Runs the fig5a experiment over
+// a handful of memory-access counts per migration and prints the
+// normalized performance of Flick (and of two emulated slower-migration
+// systems) against a host that chases the pointers across PCIe without
+// migrating.
 //
 // Run: go run ./examples/pointerchase
 package main
@@ -10,56 +11,35 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 
-	"flick/internal/sim"
+	"flick/internal/experiments"
 	"flick/internal/stats"
-	"flick/internal/workloads"
 )
 
 func main() {
-	points := []int{4, 8, 16, 32, 48, 64, 128, 256, 512, 1024}
+	o := experiments.Quick()
+	o.ChasePoints = []int{4, 8, 16, 32, 48, 64, 128, 256, 512, 1024}
+	o.ChaseCalls = 3
+	o.Jobs = runtime.NumCPU()
+	chart, err := experiments.Fig5a(o)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Println("pointer chasing over 4 GB of board DRAM, normalized to the")
 	fmt.Println("host-direct baseline (higher is better, 1.0 = baseline):")
 	fmt.Println()
 
-	chart := &stats.Chart{
-		Title:  "Figure 5a (condensed): normalized performance vs accesses per migration",
-		XLabel: "accesses/migration",
-		YLabel: "normalized perf",
-		HLines: []float64{1},
-	}
 	table := &stats.Table{
 		Headers: []string{"accesses/migration", "Flick", "500µs system", "1ms system"},
 	}
-
-	lines := []struct {
-		name  string
-		extra sim.Duration
-	}{
-		{"Flick", 0},
-		{"500µs migration", 500 * sim.Microsecond},
-		{"1ms migration", sim.Millisecond},
-	}
-	cols := make([][]float64, len(lines))
-	for i, ln := range lines {
-		pts, err := workloads.SweepPointerChase(points, 3, ln.extra, false, 42)
-		if err != nil {
-			log.Fatal(err)
+	for j, n := range o.ChasePoints {
+		row := []any{n}
+		for _, s := range chart.Series {
+			row = append(row, fmt.Sprintf("%.2fx", s.Y[j]))
 		}
-		s := stats.Series{Name: ln.name}
-		for _, p := range pts {
-			s.X = append(s.X, float64(p.Nodes))
-			s.Y = append(s.Y, p.Normalized)
-			cols[i] = append(cols[i], p.Normalized)
-		}
-		chart.Series = append(chart.Series, s)
-	}
-	for j, n := range points {
-		table.AddRow(n,
-			fmt.Sprintf("%.2fx", cols[0][j]),
-			fmt.Sprintf("%.2fx", cols[1][j]),
-			fmt.Sprintf("%.2fx", cols[2][j]))
+		table.AddRow(row...)
 	}
 	table.Render(os.Stdout)
 	fmt.Println()

@@ -42,16 +42,6 @@ type Config struct {
 	Objects []*multibin.Object
 	// Entry overrides the entry symbol (default "main").
 	Entry string
-	// Boards overrides Params.Boards when > 0: the number of PCIe-attached
-	// NxP boards the machine is built with.
-	Boards int
-	// BoardPolicy overrides Params.BoardPolicy when non-empty: the kernel's
-	// board-placement policy ("round-robin", "least-loaded", "affinity").
-	BoardPolicy string
-	// BoardISAs overrides Params.BoardISAs when non-nil: each board's core
-	// family by registered backend name (entry i → board i; empty entries
-	// default to "nxp").
-	BoardISAs []string
 	// TraceCapacity enables event tracing when > 0.
 	TraceCapacity int
 	// Obs, when non-nil, configures observability for the run: the trace
@@ -76,15 +66,6 @@ func Build(cfg Config) (*System, error) {
 	params := platform.DefaultParams()
 	if cfg.Params != nil {
 		params = *cfg.Params
-	}
-	if cfg.Boards > 0 {
-		params.Boards = cfg.Boards
-	}
-	if cfg.BoardPolicy != "" {
-		params.BoardPolicy = cfg.BoardPolicy
-	}
-	if cfg.BoardISAs != nil {
-		params.BoardISAs = cfg.BoardISAs
 	}
 	m, err := platform.New(params)
 	if err != nil {

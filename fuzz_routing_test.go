@@ -50,11 +50,11 @@ func FuzzPlacementRouting(f *testing.F) {
 		p.HostCores = tasks
 		p.Faults = spec
 		p.FaultSeed = faultSeed
+		p.Boards = boards
+		p.BoardPolicy = policy
 		sys, err := flick.Build(flick.Config{
-			Sources:     map[string]string{"mix.fasm": placementMix},
-			Params:      &p,
-			Boards:      boards,
-			BoardPolicy: policy,
+			Sources: map[string]string{"mix.fasm": placementMix},
+			Params:  &p,
 		})
 		if err != nil {
 			t.Fatal(err)

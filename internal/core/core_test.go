@@ -8,6 +8,7 @@ import (
 	"flick/internal/asm"
 	"flick/internal/kernel"
 	"flick/internal/multibin"
+	"flick/internal/platform"
 	"flick/internal/sim"
 )
 
@@ -524,6 +525,63 @@ l:
 	}
 }
 
+// TestPIOCoversEveryBoard runs the PIO ablation on a two-board machine:
+// two host tasks are placed round-robin, so both boards serve calls, and
+// no descriptor may cross on either board's DMA engine.
+func TestPIOCoversEveryBoard(t *testing.T) {
+	params := platform.DefaultParams()
+	params.Boards = 2
+	params.HostCores = 2
+	sys, err := flick.Build(flick.Config{
+		Params: &params,
+		Sources: map[string]string{"t.fasm": `
+.func main isa=host
+    movi t0, 6
+l:
+    call f
+    addi t0, t0, -1
+    bne t0, zr, l
+    movi a0, 0
+    sys 1
+.endfunc
+.func f isa=nxp
+    ret
+.endfunc
+`},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Runtime.SetPIODescriptors(true)
+	var tasks []*kernel.Task
+	for i := 0; i < 2; i++ {
+		task, err := sys.Start("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks = append(tasks, task)
+	}
+	if _, err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, task := range tasks {
+		if task.Err != nil || task.State != kernel.TaskDone {
+			t.Fatalf("task %d: state %v, err %v", i, task.State, task.Err)
+		}
+	}
+	for i, mb := range sys.Runtime.Mboxes {
+		if h2n, _ := mb.Stats(); h2n == 0 {
+			t.Errorf("board %d served no calls; the check below would be vacuous for it", i)
+		}
+	}
+	snap := sys.Report().Metrics
+	for _, name := range []string{"dma.transfers", "dma1.transfers"} {
+		if got := snap.Counter(name); got != 0 {
+			t.Errorf("%s = %d with PIO descriptors, want 0", name, got)
+		}
+	}
+}
+
 func TestMigrationTraceEvents(t *testing.T) {
 	sys, err := flick.Build(flick.Config{
 		Sources: map[string]string{"t.fasm": `
@@ -569,7 +627,7 @@ l:
 	if _, err := sys.RunProgram("main"); err != nil {
 		t.Fatal(err)
 	}
-	h2n, n2h := sys.Runtime.Mbox.Stats()
+	h2n, n2h := sys.Runtime.Mboxes[0].Stats()
 	if h2n != 5 || n2h != 5 {
 		t.Errorf("mailbox sent %d/%d, want 5/5", h2n, n2h)
 	}

@@ -184,11 +184,9 @@ type Runtime struct {
 	M     *platform.Machine
 	K     *kernel.Kernel
 	Prog  *kernel.Program
-	Mbox  *Mailbox // board 0's mailbox
 	Costs Costs
 
-	// Mboxes holds one descriptor mailbox per board, in board order;
-	// Mboxes[0] == Mbox.
+	// Mboxes holds one descriptor mailbox per board, in board order.
 	Mboxes []*Mailbox
 
 	// ExtraMigrationLatency is injected once per call migration, in each
@@ -301,7 +299,6 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 		}
 		rt.Mboxes = append(rt.Mboxes, mb)
 	}
-	rt.Mbox = rt.Mboxes[0]
 	for _, st := range rt.states {
 		st.mbox = rt.Mboxes[st.idx]
 	}
@@ -365,9 +362,14 @@ func Activate(m *platform.Machine, prog *kernel.Program) (*Runtime, error) {
 // Stats returns the migration counters.
 func (rt *Runtime) Stats() Stats { return rt.stats }
 
-// SetPIODescriptors switches descriptor transport from the single-burst
-// DMA to programmed I/O, the ablation of §IV-B1's design choice.
-func (rt *Runtime) SetPIODescriptors(v bool) { rt.Mbox.SetPIO(v) }
+// SetPIODescriptors switches every board's descriptor transport from the
+// single-burst DMA to programmed I/O, the ablation of §IV-B1's design
+// choice.
+func (rt *Runtime) SetPIODescriptors(v bool) {
+	for _, mb := range rt.Mboxes {
+		mb.SetPIO(v)
+	}
+}
 
 // boardFault is the board cores' exception handler: wrong-ISA and
 // misaligned fetches whose target is some *other* ISA's text become

@@ -16,11 +16,16 @@ func goldenOpts(jobs int) Options {
 	return o
 }
 
+// renderAll renders every registered experiment in order, as
+// `flicksim all` does.
 func renderAll(t *testing.T, o Options) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := All(o, &buf); err != nil {
-		t.Fatal(err)
+	for _, r := range Registry {
+		if err := r.Run(o, &buf); err != nil {
+			t.Fatalf("%s: %v", r.ID, err)
+		}
+		buf.WriteByte('\n')
 	}
 	return buf.Bytes()
 }

@@ -1,11 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation section. Each experiment *emits* a list of independent,
-// self-contained simulation jobs (one private machine per job, one
-// derived seed per job) and hands them to the internal/runner scheduler;
-// thread-safe order-preserving collectors in internal/stats then assemble
-// the same artifact the paper reports regardless of completion order.
-// Results are therefore bit-identical for any Options.Jobs value. The
-// bench harness (bench_test.go) and the flicksim CLI both call in here.
+// evaluation section, and is the one place a sweep is defined. Each
+// experiment names a list of independent, self-contained simulation jobs
+// (one private machine per job, one derived seed per job) and runs them
+// through sweep on the internal/runner scheduler, which returns the
+// results in job order; the experiment assembles its artifact from that
+// ordered list, so results are bit-identical for any Options.Jobs value.
+// The flicksim CLI, the bench harness (bench_test.go), the examples and
+// perfbench all call in here.
 package experiments
 
 import (
@@ -193,8 +194,8 @@ func (o Options) withDefaults() (Options, error) {
 // graph position. It returns nil when no fault spec, board count, or
 // placement policy is configured, so the default path hands workloads the
 // same nil Params it always has. Each job's injection streams are seeded
-// from (FaultSeed, position), assigned at graph-construction time, so
-// results are reproducible for any Jobs value.
+// from (FaultSeed, position), so results are reproducible for any Jobs
+// value.
 func (o Options) machineParams(job uint64) *platform.Params {
 	if o.Faults == "" && o.Boards <= 1 && o.BoardPolicy == "" && o.BoardISAs == nil {
 		return nil
@@ -212,36 +213,30 @@ func (o Options) machineParams(job uint64) *platform.Params {
 	return &p
 }
 
-// pool builds the scheduler configuration for one experiment run.
-func (o Options) pool() runner.Pool {
-	return runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, OnEvent: o.Progress}
+// sweep runs one job per name on the scheduler and returns the results in
+// name order. Each job's observability slot is reserved here, serially and
+// in name order, so the metrics and trace aggregates are the same for any
+// Jobs value; fn runs job i with its observer (nil when Options.Obs is).
+func sweep[T any](o Options, names []string, fn func(i int, obs *sim.Observer) (T, error)) ([]T, error) {
+	jobs := make([]runner.Job[T], len(names))
+	for i, name := range names {
+		obs := o.Obs.Job(name)
+		jobs[i] = runner.Job[T]{ID: i, Name: name, Run: func(context.Context) (T, error) { return fn(i, obs) }}
+	}
+	return runner.Run(context.Background(), runner.Pool{Workers: o.Jobs, Timeout: o.Timeout, OnEvent: o.Progress}, jobs)
 }
 
 func us(d sim.Duration) string { return fmt.Sprintf("%.1fµs", d.Microseconds()) }
-
-// observer reserves an observability slot for the named job; nil-safe, so
-// experiments call it unconditionally while building their job graphs.
-func (o Options) observer(job string) *sim.Observer { return o.Obs.Job(job) }
 
 // measureNullCall runs the two Table III phases as independent jobs and
 // combines them exactly as the paper does (the reverse direction is
 // isolated by subtraction).
 func measureNullCall(o Options) (workloads.NullCallResult, error) {
-	cfg := workloads.NullCallConfig{Iterations: o.NullCallIters}
-	plain, nested := cfg, cfg
-	plain.Obs = o.observer("nullcall/host-nxp-host")
-	plain.Params = o.machineParams(0)
-	nested.Obs = o.observer("nullcall/nested-return-trip")
-	nested.Params = o.machineParams(1)
-	jobs := []runner.Job[sim.Duration]{
-		{ID: 0, Name: "nullcall/host-nxp-host", Run: func(context.Context) (sim.Duration, error) {
-			return workloads.NullCallPhase(plain, false)
-		}},
-		{ID: 1, Name: "nullcall/nested-return-trip", Run: func(context.Context) (sim.Duration, error) {
-			return workloads.NullCallPhase(nested, true)
-		}},
-	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+	rs, err := sweep(o, []string{"nullcall/host-nxp-host", "nullcall/nested-return-trip"},
+		func(i int, obs *sim.Observer) (sim.Duration, error) {
+			cfg := workloads.NullCallConfig{Iterations: o.NullCallIters, Params: o.machineParams(uint64(i)), Obs: obs}
+			return workloads.NullCallPhase(cfg, i == 1)
+		})
 	if err != nil {
 		return workloads.NullCallResult{}, err
 	}
@@ -298,9 +293,8 @@ func Table3(o Options) (*stats.Table, *workloads.NullCallResult, error) {
 }
 
 // fig5 runs one Figure 5 panel: every (line, sweep point) pair is one
-// scheduler job writing into a shared order-preserving collector. The
-// three lines share per-point seeds so they sample identical chains at
-// each x position.
+// job, line-major. The three lines share per-point seeds so they sample
+// identical chains at each x position.
 func fig5(o Options, interval bool, tag, title string) (*stats.Chart, error) {
 	lines := []struct {
 		name  string
@@ -310,44 +304,35 @@ func fig5(o Options, interval bool, tag, title string) (*stats.Chart, error) {
 		{"500µs migration", 500 * sim.Microsecond},
 		{"1ms migration", sim.Millisecond},
 	}
-	names := make([]string, len(lines))
-	for i, ln := range lines {
-		names[i] = ln.name
-	}
-	sc := stats.NewSeriesCollector(names, len(o.ChasePoints))
-	jobs := make([]runner.Job[struct{}], 0, len(lines)*len(o.ChasePoints))
-	for li, ln := range lines {
-		for pi, n := range o.ChasePoints {
-			seed := runner.DeriveSeed(o.Seed, uint64(pi))
-			extra := ln.extra
-			li, pi, n := li, pi, n
-			name := fmt.Sprintf("%s/%s/n=%d", tag, ln.name, n)
-			obs := o.observer(name)
-			params := o.machineParams(uint64(len(jobs)))
-			jobs = append(jobs, runner.Job[struct{}]{
-				ID:   len(jobs),
-				Name: name,
-				Seed: seed,
-				Run: func(context.Context) (struct{}, error) {
-					p, err := workloads.MeasureChasePoint(n, o.ChaseCalls, extra, interval, seed, params, obs)
-					if err != nil {
-						return struct{}{}, err
-					}
-					sc.Set(li, pi, float64(p.Nodes), p.Normalized)
-					return struct{}{}, nil
-				},
-			})
+	n := len(o.ChasePoints)
+	var names []string
+	for _, ln := range lines {
+		for _, nodes := range o.ChasePoints {
+			names = append(names, fmt.Sprintf("%s/%s/n=%d", tag, ln.name, nodes))
 		}
 	}
-	if _, err := runner.Run(context.Background(), o.pool(), jobs); err != nil {
+	pts, err := sweep(o, names, func(i int, obs *sim.Observer) (workloads.PointerChasePoint, error) {
+		seed := runner.DeriveSeed(o.Seed, uint64(i%n))
+		return workloads.MeasureChasePoint(o.ChasePoints[i%n], o.ChaseCalls, lines[i/n].extra, interval,
+			seed, o.machineParams(uint64(i)), obs)
+	})
+	if err != nil {
 		return nil, err
+	}
+	series := make([]stats.Series, len(lines))
+	for li, ln := range lines {
+		series[li].Name = ln.name
+		for _, p := range pts[li*n : (li+1)*n] {
+			series[li].X = append(series[li].X, float64(p.Nodes))
+			series[li].Y = append(series[li].Y, p.Normalized)
+		}
 	}
 	return &stats.Chart{
 		Title:  title,
 		XLabel: "memory accesses per migration",
 		YLabel: "normalized performance (baseline = 1)",
 		HLines: []float64{1},
-		Series: sc.Series(),
+		Series: series,
 	}, nil
 }
 
@@ -370,45 +355,28 @@ func Fig5b(o Options) (*stats.Chart, error) {
 }
 
 // Table4 reproduces "BFS datasets and execution time". Each (dataset,
-// mode) cell is one job; the two modes of a dataset share a derived seed
-// so they traverse the same synthetic graph.
+// mode) cell is one job, baseline first; the two modes of a dataset share
+// a derived seed so they traverse the same synthetic graph.
 func Table4(o Options) (*stats.Table, []workloads.Table4Row, error) {
 	o, err := o.withDefaults()
 	if err != nil {
 		return nil, nil, err
 	}
-	datasets := workloads.Table4Datasets
-	scaled := make([]workloads.Dataset, len(datasets))
-	jobs := make([]runner.Job[sim.Duration], 0, 2*len(datasets))
-	for di, d := range datasets {
-		ds := d.Scale(o.BFSScale)
-		scaled[di] = ds
-		seed := runner.DeriveSeed(o.Seed, uint64(di))
-		for _, baselineMode := range []bool{true, false} {
-			mode, bm := "flick", baselineMode
-			if bm {
-				mode = "baseline"
-			}
-			name := fmt.Sprintf("table4/%s/%s", ds.Name, mode)
-			obs := o.observer(name)
-			params := o.machineParams(uint64(len(jobs)))
-			jobs = append(jobs, runner.Job[sim.Duration]{
-				ID:   len(jobs),
-				Name: name,
-				Seed: seed,
-				Run: func(context.Context) (sim.Duration, error) {
-					r, err := workloads.RunBFS(workloads.BFSConfig{
-						Dataset: ds, Iterations: o.BFSIters, Baseline: bm, Seed: seed, Params: params, Obs: obs,
-					})
-					if err != nil {
-						return 0, err
-					}
-					return r.PerIter, nil
-				},
-			})
-		}
+	scaled := make([]workloads.Dataset, len(workloads.Table4Datasets))
+	var names []string
+	for di, d := range workloads.Table4Datasets {
+		scaled[di] = d.Scale(o.BFSScale)
+		names = append(names,
+			fmt.Sprintf("table4/%s/baseline", scaled[di].Name),
+			fmt.Sprintf("table4/%s/flick", scaled[di].Name))
 	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+	rs, err := sweep(o, names, func(i int, obs *sim.Observer) (sim.Duration, error) {
+		r, err := workloads.RunBFS(workloads.BFSConfig{
+			Dataset: scaled[i/2], Iterations: o.BFSIters, Baseline: i%2 == 0,
+			Seed: runner.DeriveSeed(o.Seed, uint64(i/2)), Params: o.machineParams(uint64(i)), Obs: obs,
+		})
+		return r.PerIter, err
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -417,7 +385,7 @@ func Table4(o Options) (*stats.Table, []workloads.Table4Row, error) {
 		Title:   "Table IV: BFS datasets and execution time",
 		Headers: []string{"Dataset", "Vertices", "Edges", "Baseline", "Flick", "Speedup"},
 	}
-	rows := make([]workloads.Table4Row, 0, len(datasets))
+	rows := make([]workloads.Table4Row, 0, len(scaled))
 	for di, ds := range scaled {
 		base, fl := rs[2*di], rs[2*di+1]
 		row := workloads.Table4Row{
@@ -441,38 +409,32 @@ func Table4(o Options) (*stats.Table, []workloads.Table4Row, error) {
 }
 
 // Latency reproduces the §V access-latency measurements: the four timing
-// loops and the page-fault constant are five independent jobs.
-func Latency(o Options) (*stats.Table, error) {
+// loops are four jobs, and the page-fault constant is read from a fifth
+// machine outside the pool (it runs nothing, so it takes no job slot).
+func Latency(o Options) (*stats.Table, *workloads.LatencyResult, error) {
 	o, err := o.withDefaults()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	iters := o.NullCallIters
-	modeJob := func(id int, name string, mode workloads.LatencyMode) runner.Job[sim.Duration] {
-		obs := o.observer(name)
-		params := o.machineParams(uint64(id))
-		return runner.Job[sim.Duration]{ID: id, Name: name, Run: func(context.Context) (sim.Duration, error) {
-			return workloads.RunLatencyMode(mode, iters, params, obs)
-		}}
+	modes := []workloads.LatencyMode{
+		workloads.LatencyHostLoads, workloads.LatencyHostNop, workloads.LatencyNxPLoads, workloads.LatencyNxPNop,
 	}
-	pfParams := o.machineParams(4)
-	jobs := []runner.Job[sim.Duration]{
-		modeJob(0, "latency/host-loads", workloads.LatencyHostLoads),
-		modeJob(1, "latency/host-nop", workloads.LatencyHostNop),
-		modeJob(2, "latency/nxp-loads", workloads.LatencyNxPLoads),
-		modeJob(3, "latency/nxp-nop", workloads.LatencyNxPNop),
-		{ID: 4, Name: "latency/pagefault", Run: func(context.Context) (sim.Duration, error) {
-			return workloads.PageFaultCost(pfParams)
-		}},
-	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+	names := []string{"latency/host-loads", "latency/host-nop", "latency/nxp-loads", "latency/nxp-nop"}
+	rs, err := sweep(o, names, func(i int, obs *sim.Observer) (sim.Duration, error) {
+		return workloads.RunLatencyMode(modes[i], o.NullCallIters, o.machineParams(uint64(i)), obs)
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	pf, err := workloads.PageFaultCost(o.machineParams(uint64(len(modes))))
+	if err != nil {
+		return nil, nil, err
+	}
+	iters := sim.Duration(o.NullCallIters)
 	r := workloads.LatencyResult{
-		HostToNxPStorage:  (rs[0] - rs[1]) / sim.Duration(iters),
-		NxPToLocalStorage: (rs[2] - rs[3]) / sim.Duration(iters),
-		HostPageFault:     rs[4],
+		HostToNxPStorage:  (rs[0] - rs[1]) / iters,
+		NxPToLocalStorage: (rs[2] - rs[3]) / iters,
+		HostPageFault:     pf,
 	}
 	t := &stats.Table{
 		Title:   "§V access latencies",
@@ -481,7 +443,7 @@ func Latency(o Options) (*stats.Table, error) {
 	t.AddRow("host → NxP storage (PCIe round trip)", fmt.Sprintf("%.0fns", r.HostToNxPStorage.Nanoseconds()), "825ns")
 	t.AddRow("NxP → NxP storage (local DDR)", fmt.Sprintf("%.0fns", r.NxPToLocalStorage.Nanoseconds()), "267ns")
 	t.AddRow("host NX page fault handling", fmt.Sprintf("%.1fµs", r.HostPageFault.Microseconds()), "0.7µs")
-	return t, nil
+	return t, &r, nil
 }
 
 // StubAblation renders the §III-B analysis: NX-fault triggering vs
@@ -535,6 +497,10 @@ func Breakdown(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
+// TenantCalls is how many migrated board jobs each tenant performs in the
+// tenants experiment.
+const TenantCalls = 12
+
 // Tenants renders the multi-tenant NxP contention experiment (an extension
 // beyond the paper): several host threads, one per host core, share the
 // single board core through Flick migrations. One job per tenant count;
@@ -550,25 +516,14 @@ func Tenants(o Options) (*stats.Table, error) {
 		calls int
 	}
 	tenantCounts := []int{1, 2, 4, 8}
-	jobs := make([]runner.Job[contention], len(tenantCounts))
-	for i, tenants := range tenantCounts {
-		tenants := tenants
-		name := fmt.Sprintf("tenants/%d", tenants)
-		obs := o.observer(name)
-		params := o.machineParams(uint64(i))
-		jobs[i] = runner.Job[contention]{
-			ID:   i,
-			Name: name,
-			Run: func(context.Context) (contention, error) {
-				total, calls, err := workloads.RunMultiTenant(tenants, 12, params, obs)
-				if err != nil {
-					return contention{}, err
-				}
-				return contention{total, calls}, nil
-			},
-		}
+	names := make([]string, len(tenantCounts))
+	for i, n := range tenantCounts {
+		names[i] = fmt.Sprintf("tenants/%d", n)
 	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+	rs, err := sweep(o, names, func(i int, obs *sim.Observer) (contention, error) {
+		total, calls, err := workloads.RunMultiTenant(tenantCounts[i], TenantCalls, o.machineParams(uint64(i)), obs)
+		return contention{total, calls}, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -584,50 +539,36 @@ func Tenants(o Options) (*stats.Table, error) {
 			fmt.Sprintf("%.0f", perSec),
 			fmt.Sprintf("%.2fx", rs[i].total.Seconds()/base))
 	}
-	t.Notes = append(t.Notes,
-		"each tenant performs 12 migrated ~5µs board jobs; the single NxP serializes job bodies while migration phases overlap")
+	t.Notes = append(t.Notes, fmt.Sprintf(
+		"each tenant performs %d migrated ~5µs board jobs; the single NxP serializes job bodies while migration phases overlap", TenantCalls))
 	return t, nil
 }
 
 // KVStore renders the near-data key-value extension experiment: per-lookup
-// latency versus migration batch size. One job per batch size, each
-// filling its reserved row slot in a shared collector.
+// latency versus migration batch size, one job per batch size.
 func KVStore(o Options) (*stats.Table, error) {
 	o, err := o.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	batches := []int{1, 4, 16, 64}
-	rc := stats.NewRowCollector(len(batches))
-	jobs := make([]runner.Job[struct{}], len(batches))
+	names := make([]string, len(batches))
 	for i, b := range batches {
-		i, b := i, b
-		seed := runner.DeriveSeed(o.Seed, uint64(i))
-		name := fmt.Sprintf("kv/batch=%d", b)
-		obs := o.observer(name)
-		params := o.machineParams(uint64(i))
-		jobs[i] = runner.Job[struct{}]{
-			ID:   i,
-			Name: name,
-			Seed: seed,
-			Run: func(context.Context) (struct{}, error) {
-				p, err := workloads.MeasureKVPoint(b, 128, seed, params, obs)
-				if err != nil {
-					return struct{}{}, err
-				}
-				rc.Set(i, p.Batch, p.Flick, p.Baseline, fmt.Sprintf("%.2fx", p.Normalized))
-				return struct{}{}, nil
-			},
-		}
+		names[i] = fmt.Sprintf("kv/batch=%d", b)
 	}
-	if _, err := runner.Run(context.Background(), o.pool(), jobs); err != nil {
+	pts, err := sweep(o, names, func(i int, obs *sim.Observer) (workloads.KVPoint, error) {
+		return workloads.MeasureKVPoint(batches[i], 128, runner.DeriveSeed(o.Seed, uint64(i)), o.machineParams(uint64(i)), obs)
+	})
+	if err != nil {
 		return nil, err
 	}
 	t := &stats.Table{
 		Title:   "Extension: near-data KV lookups vs batch size",
 		Headers: []string{"Batch", "Flick/lookup", "Host-direct/lookup", "Normalized"},
 	}
-	rc.FillTable(t)
+	for _, p := range pts {
+		t.AddRow(p.Batch, p.Flick, p.Baseline, fmt.Sprintf("%.2fx", p.Normalized))
+	}
 	t.Notes = append(t.Notes, "the application-shaped form of Figure 5's work-per-migration axis")
 	return t, nil
 }

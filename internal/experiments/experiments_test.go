@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"flick/internal/sim"
 )
 
 // tiny returns options small enough for unit-test latency.
@@ -88,13 +91,16 @@ func TestTable4Artifact(t *testing.T) {
 }
 
 func TestLatencyArtifact(t *testing.T) {
-	tab, err := Latency(tiny())
+	tab, r, err := Latency(tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := tab.String()
 	if !strings.Contains(out, "825ns") || !strings.Contains(out, "267ns") {
 		t.Errorf("latency artifact off-calibration:\n%s", out)
+	}
+	if r.HostToNxPStorage <= r.NxPToLocalStorage || r.HostPageFault != 700*sim.Nanosecond {
+		t.Errorf("result = %+v", r)
 	}
 }
 
@@ -195,5 +201,23 @@ func TestKVStoreArtifact(t *testing.T) {
 	}
 	if len(tab.Rows) != 4 || !strings.Contains(tab.String(), "Batch") {
 		t.Errorf("kv artifact:\n%s", tab.String())
+	}
+}
+
+// TestRegistryIsTheAllSet pins Registry to the ten experiments `flicksim
+// all` runs, in order. perfbench's paper workload iterates Registry, so a
+// mode added to it would change what that workload measures; the modes
+// outside `all` live in Modes.
+func TestRegistryIsTheAllSet(t *testing.T) {
+	want := []string{"table2", "table3", "breakdown", "latency", "fig5a", "fig5b", "table4", "stubs", "tenants", "kv"}
+	if got := IDs(); !slices.Equal(got, want) {
+		t.Errorf("Registry ids = %v, want %v", got, want)
+	}
+	var modes []string
+	for _, r := range Modes(TrafficOptions{}) {
+		modes = append(modes, r.ID)
+	}
+	if want := []string{"scaleout", "soak", "traffic"}; !slices.Equal(modes, want) {
+		t.Errorf("Modes ids = %v, want %v", modes, want)
 	}
 }

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
+
+	"flick/internal/stats"
 )
 
-// Runner couples an experiment id to its artifact generator: Run emits
-// the experiment's job graph, waits for the scheduler, and renders the
-// assembled artifact to w.
+// Runner couples an experiment id to its artifact generator: Run runs the
+// experiment's jobs and renders the assembled artifact to w.
 type Runner struct {
 	ID    string
 	Title string
@@ -21,95 +21,62 @@ const (
 	chartHeight = 18
 )
 
-// Registry lists every experiment in presentation order — the order
-// `flicksim all` regenerates them.
-var Registry = []Runner{
-	{"table2", "Table II: migration overhead vs prior work", func(o Options, w io.Writer) error {
-		t, err := Table2(o)
+// table adapts a table-producing experiment to Runner.Run.
+func table(gen func(Options) (*stats.Table, error)) func(Options, io.Writer) error {
+	return func(o Options, w io.Writer) error {
+		t, err := gen(o)
 		if err != nil {
 			return err
 		}
 		t.Render(w)
 		return nil
-	}},
-	{"table3", "Table III: round-trip overhead", func(o Options, w io.Writer) error {
-		t, _, err := Table3(o)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}},
-	{"breakdown", "round-trip component decomposition", func(o Options, w io.Writer) error {
-		t, err := Breakdown(o)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}},
-	{"latency", "§V access latencies", func(o Options, w io.Writer) error {
-		t, err := Latency(o)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}},
-	{"fig5a", "Figure 5a: pointer chasing, migration per call", func(o Options, w io.Writer) error {
-		c, err := Fig5a(o)
-		if err != nil {
-			return err
-		}
-		c.Render(w, chartWidth, chartHeight)
-		return nil
-	}},
-	{"fig5b", "Figure 5b: pointer chasing, migration per 100µs", func(o Options, w io.Writer) error {
-		c, err := Fig5b(o)
-		if err != nil {
-			return err
-		}
-		c.Render(w, chartWidth, chartHeight)
-		return nil
-	}},
-	{"table4", "Table IV: BFS datasets and execution time", func(o Options, w io.Writer) error {
-		t, _, err := Table4(o)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}},
-	{"stubs", "ablation: NX fault vs compiler stubs", func(o Options, w io.Writer) error {
-		StubAblation().Render(w)
-		return nil
-	}},
-	{"tenants", "extension: multi-tenant NxP contention", func(o Options, w io.Writer) error {
-		t, err := Tenants(o)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}},
-	{"kv", "extension: near-data KV lookups vs batch size", func(o Options, w io.Writer) error {
-		t, err := KVStore(o)
-		if err != nil {
-			return err
-		}
-		t.Render(w)
-		return nil
-	}},
+	}
 }
 
-// Get returns the registered experiment with the given id.
-func Get(id string) (Runner, bool) {
-	for _, r := range Registry {
-		if r.ID == id {
-			return r, true
+// chart adapts a chart-producing experiment to Runner.Run.
+func chart(gen func(Options) (*stats.Chart, error)) func(Options, io.Writer) error {
+	return func(o Options, w io.Writer) error {
+		c, err := gen(o)
+		if err != nil {
+			return err
 		}
+		c.Render(w, chartWidth, chartHeight)
+		return nil
 	}
-	return Runner{}, false
+}
+
+// tableOnly drops the typed result an experiment returns beside its table.
+func tableOnly[R any](gen func(Options) (*stats.Table, R, error)) func(Options) (*stats.Table, error) {
+	return func(o Options) (*stats.Table, error) {
+		t, _, err := gen(o)
+		return t, err
+	}
+}
+
+// Registry lists every experiment in presentation order — the order
+// `flicksim all` regenerates them. It is exactly the `all` set.
+var Registry = []Runner{
+	{"table2", "Table II: migration overhead vs prior work", table(Table2)},
+	{"table3", "Table III: round-trip overhead", table(tableOnly(Table3))},
+	{"breakdown", "round-trip component decomposition", table(Breakdown)},
+	{"latency", "§V access latencies", table(tableOnly(Latency))},
+	{"fig5a", "Figure 5a: pointer chasing, migration per call", chart(Fig5a)},
+	{"fig5b", "Figure 5b: pointer chasing, migration per 100µs", chart(Fig5b)},
+	{"table4", "Table IV: BFS datasets and execution time", table(tableOnly(Table4))},
+	{"stubs", "ablation: NX fault vs compiler stubs", table(func(Options) (*stats.Table, error) { return StubAblation(), nil })},
+	{"tenants", "extension: multi-tenant NxP contention", table(Tenants)},
+	{"kv", "extension: near-data KV lookups vs batch size", table(KVStore)},
+}
+
+// Modes lists the runs outside `all`, in the order flicksim lists them:
+// the board scale-out extension, the fault-injection soak and the
+// open-loop traffic mode, which runs with topt.
+func Modes(topt TrafficOptions) []Runner {
+	return []Runner{
+		{"scaleout", "multi-board extension", table(ScaleOut)},
+		{"soak", "robustness gate", Soak},
+		{"traffic", "open-loop SLO mode", func(o Options, w io.Writer) error { return Traffic(o, topt, w) }},
+	}
 }
 
 // IDs lists the registered experiment ids in presentation order.
@@ -119,17 +86,4 @@ func IDs() []string {
 		ids[i] = r.ID
 	}
 	return ids
-}
-
-// All regenerates every registered experiment in order, rendering each
-// artifact to w separated by a blank line. The output is byte-identical
-// for any Options.Jobs value.
-func All(o Options, w io.Writer) error {
-	for _, r := range Registry {
-		if err := r.Run(o, w); err != nil {
-			return fmt.Errorf("%s: %w", r.ID, err)
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
 }

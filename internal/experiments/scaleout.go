@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"flick/internal/runner"
+	"flick/internal/platform"
 	"flick/internal/sim"
 	"flick/internal/stats"
 	"flick/internal/workloads"
@@ -37,36 +36,30 @@ func ScaleOut(o Options) (*stats.Table, error) {
 		total sim.Duration
 		calls int
 	}
-	jobs := make([]runner.Job[throughput], len(ScaleOutBoardCounts))
+	names := make([]string, len(ScaleOutBoardCounts))
 	for i, boards := range ScaleOutBoardCounts {
-		boards := boards
-		name := fmt.Sprintf("scaleout/boards=%d", boards)
-		obs := o.observer(name)
-		params := o.machineParams(uint64(i))
-		if params != nil && len(params.BoardISAs) == 1 {
+		names[i] = fmt.Sprintf("scaleout/boards=%d", boards)
+	}
+	rs, err := sweep(o, names, func(i int, obs *sim.Observer) (throughput, error) {
+		p := platform.DefaultParams()
+		if mp := o.machineParams(uint64(i)); mp != nil {
+			p = *mp
+		}
+		p.Boards = ScaleOutBoardCounts[i]
+		if len(p.BoardISAs) == 1 {
 			// A fixed board-ISA list cannot fit a board-count sweep; a
 			// single entry means "every board in every sweep step carries
 			// this family". (Replicating "nxp" matches the default-padded
 			// machine exactly, so artifacts are unchanged for it.)
-			isas := make([]string, boards)
+			isas := make([]string, p.Boards)
 			for j := range isas {
-				isas[j] = params.BoardISAs[0]
+				isas[j] = p.BoardISAs[0]
 			}
-			params.BoardISAs = isas
+			p.BoardISAs = isas
 		}
-		jobs[i] = runner.Job[throughput]{
-			ID:   i,
-			Name: name,
-			Run: func(context.Context) (throughput, error) {
-				total, calls, err := workloads.RunScaleOut(scaleOutTasks, scaleOutCalls, boards, o.BoardPolicy, params, obs)
-				if err != nil {
-					return throughput{}, err
-				}
-				return throughput{total, calls}, nil
-			},
-		}
-	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+		total, calls, err := workloads.RunScaleOut(scaleOutTasks, scaleOutCalls, &p, obs)
+		return throughput{total, calls}, err
+	})
 	if err != nil {
 		return nil, err
 	}

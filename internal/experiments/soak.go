@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -136,18 +135,32 @@ func soakRun(params *platform.Params) (soakOutcome, error) {
 	return out, nil
 }
 
+// soakParams is the machine one soak cell runs on: the default machine
+// with spec's faults seeded by seed, or nil for the fault-free control.
+func soakParams(spec string, seed int64) *platform.Params {
+	if spec == "" {
+		return nil
+	}
+	p := platform.DefaultParams()
+	p.Faults = spec
+	p.FaultSeed = seed
+	return &p
+}
+
 // Soak sweeps fault specs × fault seeds over the nested-migration soak
 // workload and asserts that every run computes the exact fault-free
 // result: same console bytes, same return value — only the virtual end
 // time may differ. Custom specs (Options.Faults non-empty) replace the
 // default matrix. The rendered table is byte-identical for any Jobs
 // value; a correctness violation is returned as an error after the whole
-// sweep finishes, so one bad cell never hides the others.
+// sweep finishes, so one bad cell never hides the others. Soak reports
+// only its tables: its jobs take no metrics or trace slot.
 func Soak(o Options, w io.Writer) error {
 	o, err := o.withDefaults()
 	if err != nil {
 		return err
 	}
+	o.Obs = nil
 	ref, err := soakRun(nil)
 	if err != nil {
 		return fmt.Errorf("soak: fault-free reference run: %w", err)
@@ -161,46 +174,35 @@ func Soak(o Options, w io.Writer) error {
 	type cell struct {
 		spec SoakSpec
 		seed int64
-		out  soakOutcome
-		err  error
 	}
-	var jobs []runner.Job[cell]
+	var cells []cell
+	var names []string
 	for _, spec := range specs {
 		seeds := soakSeedsPerSpec
 		if spec.Spec == "" {
 			seeds = 1 // the control row has no fault streams to vary
 		}
 		for j := 0; j < seeds; j++ {
-			spec := spec
-			seed := runner.DeriveSeed(o.FaultSeed, uint64(len(jobs)))
-			var params *platform.Params
-			if spec.Spec != "" {
-				p := platform.DefaultParams()
-				p.Faults = spec.Spec
-				p.FaultSeed = seed
-				params = &p
-			}
-			jobs = append(jobs, runner.Job[cell]{
-				ID:   len(jobs),
-				Name: fmt.Sprintf("soak/%s/seed=%d", spec.Name, seed),
-				Seed: seed,
-				Run: func(context.Context) (cell, error) {
-					out, err := soakRun(params)
-					if err != nil {
-						return cell{spec: spec, seed: seed, err: err}, nil
-					}
-					c := cell{spec: spec, seed: seed, out: out}
-					if out.Ret != ref.Ret {
-						c.err = fmt.Errorf("return value %d, want %d", out.Ret, ref.Ret)
-					} else if out.Console != ref.Console {
-						c.err = fmt.Errorf("console %q, want %q", out.Console, ref.Console)
-					}
-					return c, nil
-				},
-			})
+			seed := runner.DeriveSeed(o.FaultSeed, uint64(len(cells)))
+			cells = append(cells, cell{spec, seed})
+			names = append(names, fmt.Sprintf("soak/%s/seed=%d", spec.Name, seed))
 		}
 	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+	type result struct {
+		out soakOutcome
+		err error
+	}
+	rs, err := sweep(o, names, func(i int, _ *sim.Observer) (result, error) {
+		out, err := soakRun(soakParams(cells[i].spec.Spec, cells[i].seed))
+		switch {
+		case err != nil: // the run's own failure is the cell's result
+		case out.Ret != ref.Ret:
+			err = fmt.Errorf("return value %d, want %d", out.Ret, ref.Ret)
+		case out.Console != ref.Console:
+			err = fmt.Errorf("console %q, want %q", out.Console, ref.Console)
+		}
+		return result{out, err}, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -210,14 +212,15 @@ func Soak(o Options, w io.Writer) error {
 		Headers: []string{"Spec", "Fault seed", "Injected", "Recoveries", "Timeouts", "End time", "Result"},
 	}
 	var failures []error
-	for _, c := range rs {
+	for i, r := range rs {
+		c := cells[i]
 		result := "ok"
-		if c.err != nil {
-			result = "FAIL: " + c.err.Error()
-			failures = append(failures, fmt.Errorf("soak: %s seed %d: %w", c.spec.Name, c.seed, c.err))
+		if r.err != nil {
+			result = "FAIL: " + r.err.Error()
+			failures = append(failures, fmt.Errorf("soak: %s seed %d: %w", c.spec.Name, c.seed, r.err))
 		}
-		t.AddRow(c.spec.Name, c.seed, c.out.Injected, c.out.Retries, c.out.Timeouts,
-			fmt.Sprintf("%.1fµs", c.out.End.Sub(sim.Time(0)).Microseconds()), result)
+		t.AddRow(c.spec.Name, c.seed, r.out.Injected, r.out.Retries, r.out.Timeouts,
+			fmt.Sprintf("%.1fµs", r.out.End.Sub(sim.Time(0)).Microseconds()), result)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("every run must print %q and return %d; only virtual time may vary with the fault schedule", strings.TrimSpace(ref.Console), ref.Ret),
@@ -241,38 +244,24 @@ const soakTrafficWindow = 3 * sim.Millisecond
 // asserts zero lost calls: under every fault family the open loop may run
 // late, but every admitted task must finish with its oracle exit code.
 func soakTraffic(o Options, specs []SoakSpec, w io.Writer) error {
-	type cell struct {
-		spec SoakSpec
-		seed int64
-		res  traffic.Result
-		err  error
+	type result struct {
+		res traffic.Result
+		err error
 	}
-	jobs := make([]runner.Job[cell], len(specs))
+	seeds := make([]int64, len(specs))
+	names := make([]string, len(specs))
 	for i, spec := range specs {
-		spec := spec
-		seed := runner.DeriveSeed(o.FaultSeed, uint64(1000+i))
-		var params *platform.Params
-		if spec.Spec != "" {
-			p := platform.DefaultParams()
-			p.Faults = spec.Spec
-			p.FaultSeed = seed
-			params = &p
-		}
-		jobs[i] = runner.Job[cell]{
-			ID:   i,
-			Name: fmt.Sprintf("soak/traffic/%s", spec.Name),
-			Seed: seed,
-			Run: func(context.Context) (cell, error) {
-				res, err := workloads.RunTraffic(workloads.TrafficConfig{
-					Arrival: traffic.Spec{Shape: traffic.ShapePoisson, Rate: soakTrafficRate, Seed: uint64(seed)},
-					Window:  soakTrafficWindow,
-					Params:  params,
-				})
-				return cell{spec: spec, seed: seed, res: res, err: err}, nil
-			},
-		}
+		seeds[i] = runner.DeriveSeed(o.FaultSeed, uint64(1000+i))
+		names[i] = fmt.Sprintf("soak/traffic/%s", spec.Name)
 	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+	rs, err := sweep(o, names, func(i int, _ *sim.Observer) (result, error) {
+		res, err := workloads.RunTraffic(workloads.TrafficConfig{
+			Arrival: traffic.Spec{Shape: traffic.ShapePoisson, Rate: soakTrafficRate, Seed: uint64(seeds[i])},
+			Window:  soakTrafficWindow,
+			Params:  soakParams(specs[i].Spec, seeds[i]),
+		})
+		return result{res, err}, nil
+	})
 	if err != nil {
 		return err
 	}
@@ -283,17 +272,18 @@ func soakTraffic(o Options, specs []SoakSpec, w io.Writer) error {
 		Headers: []string{"Spec", "Fault seed", "Tasks", "Lost", "Mig p99≤", "Soj p99", "Makespan", "Result"},
 	}
 	var failures []error
-	for _, c := range rs {
+	for i, c := range rs {
+		spec := specs[i]
 		result := "ok"
 		switch {
 		case c.err != nil:
 			result = "FAIL: " + c.err.Error()
-			failures = append(failures, fmt.Errorf("soak traffic: %s: %w", c.spec.Name, c.err))
+			failures = append(failures, fmt.Errorf("soak traffic: %s: %w", spec.Name, c.err))
 		case c.res.Failed > 0:
 			result = fmt.Sprintf("FAIL: %d lost calls", c.res.Failed)
-			failures = append(failures, fmt.Errorf("soak traffic: %s lost %d of %d tasks", c.spec.Name, c.res.Failed, c.res.Tasks))
+			failures = append(failures, fmt.Errorf("soak traffic: %s lost %d of %d tasks", spec.Name, c.res.Failed, c.res.Tasks))
 		}
-		t.AddRow(c.spec.Name, c.seed, c.res.Tasks, c.res.Failed,
+		t.AddRow(spec.Name, seeds[i], c.res.Tasks, c.res.Failed,
 			fmt.Sprintf("%.1fµs", float64(c.res.MigP99NS)/1e3),
 			fmt.Sprintf("%.1fµs", c.res.SojP99.Microseconds()),
 			fmt.Sprintf("%.1fµs", c.res.Makespan.Microseconds()), result)

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 
-	"flick/internal/platform"
 	"flick/internal/runner"
 	"flick/internal/sim"
 	"flick/internal/stats"
@@ -55,7 +53,7 @@ func trafficCalibrate(o Options, topt TrafficOptions) (traffic.Result, error) {
 		Arrivals: []sim.Time{0},
 		Window:   topt.Window,
 		Params:   params,
-		Obs:      o.observer("traffic/calibrate"),
+		Obs:      o.Obs.Job("traffic/calibrate"),
 	})
 }
 
@@ -120,27 +118,21 @@ func Traffic(o Options, topt TrafficOptions, w io.Writer) error {
 	capEst, bound := trafficCapacity(cal, cfg.Cores)
 	kneeNS := trafficKneeFactor * cal.MigMeanNS
 
-	runPoint := func(rate float64, job uint64, obs *sim.Observer, params *platform.Params) (traffic.Result, error) {
+	// runPoint runs one offered load as the job at params position pos;
+	// position 0 is the calibration's.
+	runPoint := func(rate float64, pos uint64, obs *sim.Observer) (traffic.Result, error) {
 		return workloads.RunTraffic(workloads.TrafficConfig{
-			Arrival: trafficSpec(o, shape, rate, job),
+			Arrival: trafficSpec(o, shape, rate, pos),
 			Window:  topt.Window,
-			Params:  params,
+			Params:  o.machineParams(pos),
 			Obs:     obs,
 		})
 	}
 
 	if topt.Rate > 0 {
 		// Single-point mode: one job (the pool still applies the timeout).
-		name := fmt.Sprintf("traffic/%s/rate=%.0f", shape, topt.Rate)
-		obs := o.observer(name)
-		params := o.machineParams(1)
-		jobs := []runner.Job[traffic.Result]{{
-			ID: 0, Name: name,
-			Run: func(context.Context) (traffic.Result, error) {
-				return runPoint(topt.Rate, 1, obs, params)
-			},
-		}}
-		rs, err := runner.Run(context.Background(), o.pool(), jobs)
+		rs, err := sweep(o, []string{fmt.Sprintf("traffic/%s/rate=%.0f", shape, topt.Rate)},
+			func(_ int, obs *sim.Observer) (traffic.Result, error) { return runPoint(topt.Rate, 1, obs) })
 		if err != nil {
 			return err
 		}
@@ -161,21 +153,13 @@ func Traffic(o Options, topt TrafficOptions, w io.Writer) error {
 	}
 
 	// Capacity sweep: one job per offered-load multiplier.
-	jobs := make([]runner.Job[traffic.Result], len(trafficMultipliers))
+	names := make([]string, len(trafficMultipliers))
 	for i, mult := range trafficMultipliers {
-		rate := capEst * mult
-		job := uint64(i + 1) // position 0 is the calibration's params slot
-		name := fmt.Sprintf("traffic/%s/x%.1f", shape, mult)
-		obs := o.observer(name)
-		params := o.machineParams(job)
-		jobs[i] = runner.Job[traffic.Result]{
-			ID: i, Name: name,
-			Run: func(context.Context) (traffic.Result, error) {
-				return runPoint(rate, job, obs, params)
-			},
-		}
+		names[i] = fmt.Sprintf("traffic/%s/x%.1f", shape, mult)
 	}
-	rs, err := runner.Run(context.Background(), o.pool(), jobs)
+	rs, err := sweep(o, names, func(i int, obs *sim.Observer) (traffic.Result, error) {
+		return runPoint(capEst*trafficMultipliers[i], uint64(i+1), obs)
+	})
 	if err != nil {
 		return err
 	}

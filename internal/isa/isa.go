@@ -198,14 +198,20 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
+// opByName inverts opNames, built once for the assembler's per-mnemonic
+// lookups.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, len(opNames))
+	for op, n := range opNames {
+		m[n] = op
+	}
+	return m
+}()
+
 // OpByName resolves a mnemonic.
 func OpByName(s string) (Op, bool) {
-	for op, n := range opNames {
-		if n == s {
-			return op, true
-		}
-	}
-	return OpInvalid, false
+	op, ok := opByName[s]
+	return op, ok
 }
 
 // Valid reports whether o is a defined operation.

@@ -581,13 +581,25 @@ func (m *Machine) buildCores() {
 	// host-resident page tables (§IV-A), and TLBs carrying every board's
 	// BAR remap windows. Board 0's components keep the bare ISA prefix
 	// ("nxp-itlb") the single-board machine always had; later boards
-	// append their index. Every board core is named "<isa><board>".
+	// append their index. Every board core is named "<isa><board>"; a
+	// second core of one family on one board (the DSP core beside a dsp
+	// board 0) appends "_<n>", its ordinal among them, to both.
 	nxpWalk := func(pa uint64) sim.Duration {
 		return p.Link.ReadLatency(8) + p.HostDRAMDevice
 	}
 	boardCore := func(b *Board, is isa.ISA, cycle sim.Duration) {
 		pfx := is.String() + boardSfx(b.Index)
 		name := fmt.Sprintf("%s%d", is, b.Index)
+		n := 0
+		for _, bc := range m.BoardCores {
+			if bc.Board == b && bc.Core.ISA() == is {
+				n++
+			}
+		}
+		if n > 0 {
+			pfx += fmt.Sprintf("_%d", n)
+			name += fmt.Sprintf("_%d", n)
+		}
 		iT := tlb.New(pfx+"-itlb", p.NxPITLB)
 		dT := tlb.New(pfx+"-dtlb", p.NxPDTLB)
 		for _, t := range []*tlb.TLB{iT, dT} {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"flick/internal/isa"
@@ -265,5 +266,44 @@ func TestBadBoardISAsRejected(t *testing.T) {
 	p.BoardISAs = []string{"nxp", "nxp"}
 	if _, err := New(p); err == nil {
 		t.Error("more board families than boards accepted")
+	}
+}
+
+// TestBoardCoreNamesUnique builds the machine whose board 0 is dsp and
+// which also enables the DSP core: two dsp cores on one board. Each core
+// must get its own name, and so its own cpu.*, mmu.* and tlb.* metrics.
+func TestBoardCoreNamesUnique(t *testing.T) {
+	p := DefaultParams()
+	p.BoardISAs = []string{"dsp"}
+	p.EnableDSP = true
+	m, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.BoardCores) != 2 {
+		t.Fatalf("%d board cores, want 2", len(m.BoardCores))
+	}
+	if a, b := m.BoardCores[0].Core.Name(), m.BoardCores[1].Core.Name(); a == b {
+		t.Errorf("both dsp cores are named %q", a)
+	}
+	snap := m.Env.Metrics().Snapshot()
+	count := func(prefix, suffix string) int {
+		n := 0
+		for _, c := range snap.Counters {
+			if strings.HasPrefix(c.Name, prefix) && strings.HasSuffix(c.Name, suffix) {
+				n++
+			}
+		}
+		return n
+	}
+	// One host core and two board cores, each with an I- and a D-side MMU
+	// and TLB.
+	for _, c := range []struct {
+		prefix, suffix string
+		want           int
+	}{{"cpu.", ".instret", 3}, {"mmu.", ".translates", 6}, {"tlb.", ".hits", 6}} {
+		if got := count(c.prefix, c.suffix); got != c.want {
+			t.Errorf("%d %s*%s metrics, want %d", got, c.prefix, c.suffix, c.want)
+		}
 	}
 }

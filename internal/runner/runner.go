@@ -1,13 +1,14 @@
 // Package runner turns an experiment sweep into an explicit job graph: a
 // list of independent, self-contained simulation Jobs executed by a
-// worker Pool. Each job builds its own simulated machine and carries its
-// own derived RNG seed, so any worker count produces identical results;
-// the pool collects results in job order, so downstream tables and charts
-// are assembled identically regardless of completion order. Determinism
-// therefore no longer rests on "the engine is single-threaded" but on
-// "each job is deterministic and the merge is ordered" — the contract
-// every future scaling change (sharded sweeps, multi-machine runs)
-// builds on.
+// worker Pool. Each job builds its own simulated machine and shares no
+// mutable state with the others (its inputs, seeds included, are fixed
+// when the job is emitted), so any worker count produces identical
+// results; the pool collects results in job order, so downstream tables
+// and charts are assembled identically regardless of completion order.
+// Determinism therefore no longer rests on "the engine is
+// single-threaded" but on "each job is deterministic and the merge is
+// ordered" — the contract every future scaling change (sharded sweeps,
+// multi-machine runs) builds on.
 package runner
 
 import (
@@ -27,12 +28,8 @@ type Job[T any] struct {
 	ID int
 	// Name labels progress lines, e.g. "fig5a/Flick/n=64".
 	Name string
-	// Seed is the job's derived RNG seed, recorded for observability; the
-	// workload closure has already captured it.
-	Seed int64
 	// Run executes the job. It must be self-contained: it builds its own
-	// machine and shares no mutable state with other jobs except
-	// thread-safe collectors.
+	// machine and shares no mutable state with other jobs.
 	Run func(ctx context.Context) (T, error)
 }
 
@@ -42,7 +39,6 @@ type Event struct {
 	Done bool
 	ID   int
 	Name string
-	Seed int64
 	// Err is the job's error (finish events only).
 	Err error
 	// Elapsed is the job's wall-clock runtime (finish events only).
@@ -101,10 +97,10 @@ func Run[T any](ctx context.Context, p Pool, jobs []Job[T]) ([]T, error) {
 			defer wg.Done()
 			for i := range feed {
 				j := jobs[i]
-				prog.start(j.ID, j.Name, j.Seed)
+				prog.start(j.ID, j.Name)
 				start := time.Now()
 				results[i], errs[i] = runJob(ctx, j)
-				prog.finish(j.ID, j.Name, j.Seed, errs[i], time.Since(start))
+				prog.finish(j.ID, j.Name, errs[i], time.Since(start))
 				if errs[i] != nil {
 					cancel() // fail fast: stop feeding new jobs
 				}
@@ -172,22 +168,22 @@ type progress struct {
 	nStarted, nDone int
 }
 
-func (p *progress) start(id int, name string, seed int64) {
+func (p *progress) start(id int, name string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.nStarted++
 	if p.fn != nil {
-		p.fn(Event{ID: id, Name: name, Seed: seed,
+		p.fn(Event{ID: id, Name: name,
 			Started: p.nStarted, Finished: p.nDone, Total: p.total})
 	}
 }
 
-func (p *progress) finish(id int, name string, seed int64, err error, elapsed time.Duration) {
+func (p *progress) finish(id int, name string, err error, elapsed time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.nDone++
 	if p.fn != nil {
-		p.fn(Event{Done: true, ID: id, Name: name, Seed: seed, Err: err, Elapsed: elapsed,
+		p.fn(Event{Done: true, ID: id, Name: name, Err: err, Elapsed: elapsed,
 			Started: p.nStarted, Finished: p.nDone, Total: p.total})
 	}
 }

@@ -19,7 +19,6 @@ func squareJobs(n int, delay func(i int) time.Duration) []Job[int] {
 		jobs[i] = Job[int]{
 			ID:   i,
 			Name: fmt.Sprintf("square/%d", i),
-			Seed: DeriveSeed(1, uint64(i)),
 			Run: func(ctx context.Context) (int, error) {
 				if delay != nil {
 					time.Sleep(delay(i))

@@ -337,29 +337,11 @@ func writeByteVirt(p *sim.Proc, c *cpu.Core, va uint64, v byte) error {
 	return c.WriteVirt(p, va, []byte{v})
 }
 
-// RunTable4 measures one dataset both ways, the paper's Table IV row.
+// Table4Row is one row of the paper's Table IV: one dataset traversed
+// both ways.
 type Table4Row struct {
 	Dataset  Dataset
 	Baseline sim.Duration
 	Flick    sim.Duration
 	Speedup  float64 // baseline/flick
-}
-
-// RunTable4Row produces one row of Table IV. obs, when non-nil, receives
-// both machines' observability reports.
-func RunTable4Row(d Dataset, iterations int, seed int64, obs *sim.Observer) (Table4Row, error) {
-	base, err := RunBFS(BFSConfig{Dataset: d, Iterations: iterations, Baseline: true, Seed: seed, Obs: obs})
-	if err != nil {
-		return Table4Row{}, fmt.Errorf("baseline %s: %w", d.Name, err)
-	}
-	fl, err := RunBFS(BFSConfig{Dataset: d, Iterations: iterations, Seed: seed, Obs: obs})
-	if err != nil {
-		return Table4Row{}, fmt.Errorf("flick %s: %w", d.Name, err)
-	}
-	return Table4Row{
-		Dataset:  d,
-		Baseline: base.PerIter,
-		Flick:    fl.PerIter,
-		Speedup:  float64(base.PerIter) / float64(fl.PerIter),
-	}, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"flick"
 	"flick/internal/platform"
-	"flick/internal/runner"
 	"flick/internal/sim"
 )
 
@@ -343,20 +342,4 @@ func MeasureKVPoint(batch, queries int, seed int64, params *platform.Params, obs
 		Baseline:   base.PerLookup,
 		Normalized: float64(base.PerLookup) / float64(f.PerLookup),
 	}, nil
-}
-
-// SweepKVBatch measures per-lookup cost across batch sizes: the service-
-// shaped version of Figure 5's accesses-per-migration axis. Per-batch
-// seeds are derived from seed by position, matching the parallel
-// experiment scheduler's derivation for the same sweep.
-func SweepKVBatch(batches []int, queries int, seed int64) ([]KVPoint, error) {
-	out := make([]KVPoint, 0, len(batches))
-	for i, b := range batches {
-		p, err := MeasureKVPoint(b, queries, runner.DeriveSeed(seed, uint64(i)), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

@@ -166,35 +166,3 @@ func PageFaultCost(params *platform.Params) (sim.Duration, error) {
 	}
 	return sys.Kernel.Costs().PageFaultEntry, nil
 }
-
-// MeasureLatencies runs the access-latency microbenchmarks serially; the
-// experiment scheduler runs the same five measurements as parallel jobs.
-func MeasureLatencies(iterations int, params *platform.Params) (LatencyResult, error) {
-	if iterations <= 0 {
-		iterations = 2000
-	}
-	var res LatencyResult
-	hostLd, err := RunLatencyMode(LatencyHostLoads, iterations, params, nil)
-	if err != nil {
-		return res, err
-	}
-	hostNop, err := RunLatencyMode(LatencyHostNop, iterations, params, nil)
-	if err != nil {
-		return res, err
-	}
-	nxpLd, err := RunLatencyMode(LatencyNxPLoads, iterations, params, nil)
-	if err != nil {
-		return res, err
-	}
-	nxpNop, err := RunLatencyMode(LatencyNxPNop, iterations, params, nil)
-	if err != nil {
-		return res, err
-	}
-	res.HostToNxPStorage = (hostLd - hostNop) / sim.Duration(iterations)
-	res.NxPToLocalStorage = (nxpLd - nxpNop) / sim.Duration(iterations)
-	res.HostPageFault, err = PageFaultCost(params)
-	if err != nil {
-		return res, err
-	}
-	return res, nil
-}

@@ -2,7 +2,9 @@
 // null-call migration-overhead microbenchmark (Table III), the
 // pointer-chasing microbenchmark (Figure 5), and Graph500-style BFS over
 // synthetic social graphs (Table IV), together with the workload
-// generators they need.
+// generators and oracles they need. Every run here measures one
+// configuration on its own machines; the sweeps that assemble the paper's
+// tables and figures from them are defined once, in internal/experiments.
 package workloads
 
 import (
@@ -115,26 +117,6 @@ func NullCallPhase(cfg NullCallConfig, nested bool) (sim.Duration, error) {
 		return 0, fmt.Errorf("workloads: expected %d migrations, saw %d", wantCalls, got)
 	}
 	return sim.Duration(elapsedNS) * sim.Nanosecond / sim.Duration(cfg.Iterations), nil
-}
-
-// RunNullCall executes both phases of the Table III microbenchmark.
-func RunNullCall(cfg NullCallConfig) (NullCallResult, error) {
-	if cfg.Iterations <= 0 {
-		cfg.Iterations = 10000
-	}
-	h2n, err := NullCallPhase(cfg, false)
-	if err != nil {
-		return NullCallResult{}, err
-	}
-	both, err := NullCallPhase(cfg, true)
-	if err != nil {
-		return NullCallResult{}, err
-	}
-	return NullCallResult{
-		Iterations:  cfg.Iterations,
-		HostNxPHost: h2n,
-		NxPHostNxP:  both - h2n,
-	}, nil
 }
 
 // BreakdownComponent is one phase of the migration round trip.

@@ -9,7 +9,6 @@ import (
 	"flick/internal/cpu"
 	"flick/internal/isa"
 	"flick/internal/platform"
-	"flick/internal/runner"
 	"flick/internal/sim"
 )
 
@@ -268,21 +267,4 @@ func MeasureChasePoint(nodes, calls int, extra sim.Duration, interval bool, seed
 		Baseline:   b,
 		Normalized: float64(b) / float64(f),
 	}, nil
-}
-
-// SweepPointerChase reproduces one Figure 5 panel: for each node count it
-// measures Flick and the host-direct baseline and reports normalized
-// performance. interval selects the Fig. 5b variant. Per-point seeds are
-// derived from seed by position, matching what the parallel experiment
-// scheduler produces for the same sweep.
-func SweepPointerChase(nodeCounts []int, calls int, extra sim.Duration, interval bool, seed int64) ([]PointerChasePoint, error) {
-	out := make([]PointerChasePoint, 0, len(nodeCounts))
-	for i, n := range nodeCounts {
-		p, err := MeasureChasePoint(n, calls, extra, interval, runner.DeriveSeed(seed, uint64(i)), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }

@@ -64,21 +64,18 @@ func ScaleOutExit(id, calls int) uint64 {
 	return uint64(calls*id) + uint64(calls*(calls-1)/2)
 }
 
-// RunScaleOut starts `tasks` migrating host threads on a machine with
-// `boards` NxP boards under the given placement policy, verifies every
-// task's exit code against the built-in oracle, and reports the completion
-// time and total migrated calls. p, when non-nil, is the base machine
-// configuration (HostCores is forced to tasks, Boards and BoardPolicy to
-// the arguments, either way); obs, when non-nil, receives the run's
-// observability report.
-func RunScaleOut(tasks, callsPerTask, boards int, policy string, p *platform.Params, obs *sim.Observer) (sim.Duration, int, error) {
+// RunScaleOut starts `tasks` migrating host threads on the machine p
+// describes (its Boards and BoardPolicy set the placement; nil is the
+// default one-board machine; HostCores is forced to tasks either way),
+// verifies every task's exit code against the built-in oracle, and
+// reports the completion time and total migrated calls. obs, when
+// non-nil, receives the run's observability report.
+func RunScaleOut(tasks, callsPerTask int, p *platform.Params, obs *sim.Observer) (sim.Duration, int, error) {
 	params := platform.DefaultParams()
 	if p != nil {
 		params = *p
 	}
 	params.HostCores = tasks
-	params.Boards = boards
-	params.BoardPolicy = policy
 	sys, err := flick.Build(flick.Config{
 		Params:  &params,
 		Obs:     obs,

@@ -3,17 +3,54 @@ package workloads
 import (
 	"testing"
 
+	"flick/internal/runner"
 	"flick/internal/sim"
 )
+
+// chase measures one Figure 5 point per node count, seeding point i as the
+// fig5 experiments do (runner.DeriveSeed(0, i)).
+func chase(t *testing.T, nodes []int, calls int, extra sim.Duration, interval bool) []PointerChasePoint {
+	t.Helper()
+	pts := make([]PointerChasePoint, len(nodes))
+	for i, n := range nodes {
+		p, err := MeasureChasePoint(n, calls, extra, interval, runner.DeriveSeed(0, uint64(i)), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// bfsSpeedup runs one Table IV row, baseline and Flick on the same graph,
+// and returns baseline/Flick.
+func bfsSpeedup(t *testing.T, d Dataset, seed int64) float64 {
+	t.Helper()
+	base, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Baseline: true, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return float64(base.PerIter) / float64(fl.PerIter)
+}
 
 // TestTable3Calibration pins the headline reproduction: the Table III
 // round-trip numbers. The windows are tight — ±0.5 µs around the paper's
 // measurements.
 func TestTable3Calibration(t *testing.T) {
-	r, err := RunNullCall(NullCallConfig{Iterations: 500})
+	cfg := NullCallConfig{Iterations: 500}
+	h2n, err := NullCallPhase(cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	both, err := NullCallPhase(cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n2h := both - h2n // the reverse trip, isolated by subtraction as in the paper
 	check := func(name string, got sim.Duration, wantUS float64) {
 		lo := sim.Duration((wantUS - 0.5) * float64(sim.Microsecond))
 		hi := sim.Duration((wantUS + 0.5) * float64(sim.Microsecond))
@@ -21,30 +58,27 @@ func TestTable3Calibration(t *testing.T) {
 			t.Errorf("%s = %v, want %.1fµs ± 0.5µs", name, got, wantUS)
 		}
 	}
-	check("Host-NxP-Host", r.HostNxPHost, 18.3)
-	check("NxP-Host-NxP", r.NxPHostNxP, 16.9)
-	if r.NxPHostNxP >= r.HostNxPHost {
+	check("Host-NxP-Host", h2n, 18.3)
+	check("NxP-Host-NxP", n2h, 16.9)
+	if n2h >= h2n {
 		t.Error("NxP-initiated trip should be cheaper (no host NX fault)")
 	}
 }
 
 func TestNullCallExtraLatency(t *testing.T) {
-	r, err := RunNullCall(NullCallConfig{Iterations: 50, ExtraMigrationLatency: 500 * sim.Microsecond})
+	h2n, err := NullCallPhase(NullCallConfig{Iterations: 50, ExtraMigrationLatency: 500 * sim.Microsecond}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.HostNxPHost < 500*sim.Microsecond {
-		t.Errorf("extra latency not applied: H2N = %v", r.HostNxPHost)
+	if h2n < 500*sim.Microsecond {
+		t.Errorf("extra latency not applied: H2N = %v", h2n)
 	}
 }
 
 func TestPointerChaseSteadyStateRatio(t *testing.T) {
 	// Fig 5a right side: the benefit stabilizes around 2.6x — the
 	// relative latency of host vs NxP access to the board DRAM.
-	pts, err := SweepPointerChase([]int{512}, 4, 0, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := chase(t, []int{512}, 4, 0, false)
 	if r := pts[0].Normalized; r < 2.3 || r > 2.9 {
 		t.Errorf("steady-state normalized perf = %.2f, want ≈2.6", r)
 	}
@@ -53,10 +87,7 @@ func TestPointerChaseSteadyStateRatio(t *testing.T) {
 func TestPointerChaseCrossover(t *testing.T) {
 	// Fig 5a: Flick breaks even around 32 accesses per migration; far
 	// below it loses badly, far above it wins.
-	pts, err := SweepPointerChase([]int{4, 16, 32, 48, 64, 256}, 4, 0, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := chase(t, []int{4, 16, 32, 48, 64, 256}, 4, 0, false)
 	byN := map[int]float64{}
 	for _, p := range pts {
 		byN[p.Nodes] = p.Normalized
@@ -84,17 +115,11 @@ func TestPointerChaseSlowMigrationNeedsFarMoreWork(t *testing.T) {
 	// Fig 5a dashed lines: a 500 µs-migration system is still far below
 	// baseline at 256 accesses per migration (where Flick is already
 	// >2x ahead), and a 1 ms system hasn't reached baseline even at 1024.
-	slow500, err := SweepPointerChase([]int{256}, 2, 500*sim.Microsecond, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow500 := chase(t, []int{256}, 2, 500*sim.Microsecond, false)
 	if slow500[0].Normalized >= 0.7 {
 		t.Errorf("500µs system at n=256: normalized %.2f, want well below baseline", slow500[0].Normalized)
 	}
-	slow1ms, err := SweepPointerChase([]int{1024}, 2, sim.Millisecond, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow1ms := chase(t, []int{1024}, 2, sim.Millisecond, false)
 	if slow1ms[0].Normalized >= 1 {
 		t.Errorf("1ms system reached baseline at n=1024 (%.2f)", slow1ms[0].Normalized)
 	}
@@ -103,14 +128,8 @@ func TestPointerChaseSlowMigrationNeedsFarMoreWork(t *testing.T) {
 func TestPointerChaseIntervalReducesBenefit(t *testing.T) {
 	// Fig 5b: with 100 µs of host work between migrations, the benefit
 	// at large n drops to ≈2x, and the penalty at small n is milder.
-	a, err := SweepPointerChase([]int{8, 1024}, 3, 0, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SweepPointerChase([]int{8, 1024}, 3, 0, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := chase(t, []int{8, 1024}, 3, 0, false)
+	b := chase(t, []int{8, 1024}, 3, 0, true)
 	if !(b[1].Normalized < a[1].Normalized) {
 		t.Errorf("interval did not reduce large-n benefit: %.2f vs %.2f", b[1].Normalized, a[1].Normalized)
 	}
@@ -170,16 +189,12 @@ func TestDatasetScale(t *testing.T) {
 // the Epinions1-like graph (low edge-to-vertex ratio) the per-vertex
 // migration overhead makes Flick *slower* than the baseline.
 func TestBFSCorrectAndEpinionsShape(t *testing.T) {
-	d := Epinions1.Scale(64)
-	row, err := RunTable4Row(d, 1, 3, nil)
-	if err != nil {
-		t.Fatal(err)
+	speedup := bfsSpeedup(t, Epinions1.Scale(64), 3)
+	if speedup >= 1 {
+		t.Errorf("Epinions-shaped graph: Flick speedup = %.2f, paper has Flick losing (≈0.75)", speedup)
 	}
-	if row.Speedup >= 1 {
-		t.Errorf("Epinions-shaped graph: Flick speedup = %.2f, paper has Flick losing (≈0.75)", row.Speedup)
-	}
-	if row.Speedup < 0.4 {
-		t.Errorf("Flick loses too hard: %.2f", row.Speedup)
+	if speedup < 0.4 {
+		t.Errorf("Flick loses too hard: %.2f", speedup)
 	}
 }
 
@@ -189,16 +204,12 @@ func TestBFSPokecShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavier BFS shape test")
 	}
-	d := Pokec.Scale(256)
-	row, err := RunTable4Row(d, 1, 4, nil)
-	if err != nil {
-		t.Fatal(err)
+	speedup := bfsSpeedup(t, Pokec.Scale(256), 4)
+	if speedup <= 1 {
+		t.Errorf("Pokec-shaped graph: Flick speedup = %.2f, paper has Flick winning (≈1.19)", speedup)
 	}
-	if row.Speedup <= 1 {
-		t.Errorf("Pokec-shaped graph: Flick speedup = %.2f, paper has Flick winning (≈1.19)", row.Speedup)
-	}
-	if row.Speedup > 1.6 {
-		t.Errorf("speedup %.2f implausibly high", row.Speedup)
+	if speedup > 1.6 {
+		t.Errorf("speedup %.2f implausibly high", speedup)
 	}
 }
 
@@ -248,9 +259,13 @@ func TestKVStoreCorrectness(t *testing.T) {
 func TestKVStoreBatchingTradeoff(t *testing.T) {
 	// Single-query migration loses; large batches win (the near-data
 	// version of Figure 5's crossover).
-	pts, err := SweepKVBatch([]int{1, 64}, 128, 5)
-	if err != nil {
-		t.Fatal(err)
+	var pts [2]KVPoint
+	for i, batch := range []int{1, 64} {
+		p, err := MeasureKVPoint(batch, 128, runner.DeriveSeed(5, uint64(i)), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts[i] = p
 	}
 	if pts[0].Normalized >= 1 {
 		t.Errorf("batch=1 normalized %.2f; per-query migration should lose", pts[0].Normalized)
@@ -270,18 +285,27 @@ func TestKVStoreRejectsRaggedBatch(t *testing.T) {
 }
 
 func TestLatencyMeasurements(t *testing.T) {
-	r, err := MeasureLatencies(500, nil)
+	const iters = 500
+	var loops [4]sim.Duration
+	for i, mode := range []LatencyMode{LatencyHostLoads, LatencyHostNop, LatencyNxPLoads, LatencyNxPNop} {
+		d, err := RunLatencyMode(mode, iters, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loops[i] = d
+	}
+	if got := (loops[0] - loops[1]) / iters; got < 800*sim.Nanosecond || got > 850*sim.Nanosecond {
+		t.Errorf("host→NxP = %v, want ≈825ns", got)
+	}
+	if got := (loops[2] - loops[3]) / iters; got < 260*sim.Nanosecond || got > 275*sim.Nanosecond {
+		t.Errorf("NxP local = %v, want ≈267ns", got)
+	}
+	pf, err := PageFaultCost(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.HostToNxPStorage; got < 800*sim.Nanosecond || got > 850*sim.Nanosecond {
-		t.Errorf("host→NxP = %v, want ≈825ns", got)
-	}
-	if got := r.NxPToLocalStorage; got < 260*sim.Nanosecond || got > 275*sim.Nanosecond {
-		t.Errorf("NxP local = %v, want ≈267ns", got)
-	}
-	if r.HostPageFault != 700*sim.Nanosecond {
-		t.Errorf("page fault = %v, want 0.7µs", r.HostPageFault)
+	if pf != 700*sim.Nanosecond {
+		t.Errorf("page fault = %v, want 0.7µs", pf)
 	}
 }
 
@@ -290,12 +314,12 @@ func TestBreakdownSumsToRoundTrip(t *testing.T) {
 	if len(comps) < 8 {
 		t.Fatalf("breakdown has %d components", len(comps))
 	}
-	r, err := RunNullCall(NullCallConfig{Iterations: 300})
+	h2n, err := NullCallPhase(NullCallConfig{Iterations: 300}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diff := total - r.HostNxPHost
+	diff := total - h2n
 	if diff < -300*sim.Nanosecond || diff > 300*sim.Nanosecond {
-		t.Errorf("modeled total %v vs measured %v (diff %v): the decomposition drifted from the implementation", total, r.HostNxPHost, diff)
+		t.Errorf("modeled total %v vs measured %v (diff %v): the decomposition drifted from the implementation", total, h2n, diff)
 	}
 }

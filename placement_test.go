@@ -118,10 +118,12 @@ func placementPolicies() []string { return []string{"round-robin", "least-loaded
 
 func runPlacementFib(t *testing.T, boards int, policy string) (uint64, string) {
 	t.Helper()
+	p := platform.DefaultParams()
+	p.Boards = boards
+	p.BoardPolicy = policy
 	sys, err := flick.Build(flick.Config{
-		Sources:     map[string]string{"fib.fasm": placementFib},
-		Boards:      boards,
-		BoardPolicy: policy,
+		Sources: map[string]string{"fib.fasm": placementFib},
+		Params:  &p,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +139,11 @@ func runPlacementMix(t *testing.T, boards int, policy string, tasks, calls int) 
 	t.Helper()
 	p := platform.DefaultParams()
 	p.HostCores = tasks
+	p.Boards = boards
+	p.BoardPolicy = policy
 	sys, err := flick.Build(flick.Config{
-		Sources:     map[string]string{"mix.fasm": placementMix},
-		Params:      &p,
-		Boards:      boards,
-		BoardPolicy: policy,
+		Sources: map[string]string{"mix.fasm": placementMix},
+		Params:  &p,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,10 +27,12 @@ func TestScaleOutConcurrentSystems(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			policy := policies[g%len(policies)]
+			p := platform.DefaultParams()
+			p.Boards = 3
+			p.BoardPolicy = policy
 			sys, err := flick.Build(flick.Config{
-				Sources:     map[string]string{"fib.fasm": placementFib},
-				Boards:      3,
-				BoardPolicy: policy,
+				Sources: map[string]string{"fib.fasm": placementFib},
+				Params:  &p,
 			})
 			if err != nil {
 				errs <- err
@@ -68,11 +70,11 @@ func TestFailoverExactUnderBoardDMAKill(t *testing.T) {
 			p.HostCores = tasks
 			p.Faults = "dma1.fail=1"
 			p.FaultSeed = 7
+			p.Boards = 2
+			p.BoardPolicy = policy
 			sys, err := flick.Build(flick.Config{
-				Sources:     map[string]string{"mix.fasm": placementMix},
-				Params:      &p,
-				Boards:      2,
-				BoardPolicy: policy,
+				Sources: map[string]string{"mix.fasm": placementMix},
+				Params:  &p,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -115,10 +117,10 @@ func TestExactUnderBoardMSIKill(t *testing.T) {
 	p := platform.DefaultParams()
 	p.Faults = "msi1.drop=1"
 	p.FaultSeed = 11
+	p.Boards = 2
 	sys, err := flick.Build(flick.Config{
 		Sources: map[string]string{"fib.fasm": placementFib},
 		Params:  &p,
-		Boards:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +151,10 @@ func TestFailoverStackAuditIntegrity(t *testing.T) {
 	p.HostCores = tasks // all tasks live (and holding stacks) at once
 	p.Faults = "dma1.fail=1"
 	p.FaultSeed = 7
+	p.Boards = 2
 	sys, err := flick.Build(flick.Config{
 		Sources: map[string]string{"mix.fasm": placementMix},
 		Params:  &p,
-		Boards:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +241,9 @@ func TestFailoverStackAuditIntegrity(t *testing.T) {
 func TestScaleOutThroughputIncreases(t *testing.T) {
 	var prev float64
 	for i, boards := range []int{1, 2, 4} {
-		total, calls, err := workloads.RunScaleOut(8, 12, boards, "", nil, nil)
+		p := platform.DefaultParams()
+		p.Boards = boards
+		total, calls, err := workloads.RunScaleOut(8, 12, &p, nil)
 		if err != nil {
 			t.Fatalf("boards=%d: %v", boards, err)
 		}
@@ -263,11 +267,12 @@ func TestScaleOutAllCmpBoards(t *testing.T) {
 	var prev float64
 	for i, boards := range []int{1, 2} {
 		p := platform.DefaultParams()
+		p.Boards = boards
 		p.BoardISAs = make([]string, boards)
 		for j := range p.BoardISAs {
 			p.BoardISAs[j] = "cmp"
 		}
-		total, calls, err := workloads.RunScaleOut(8, 12, boards, "", &p, nil)
+		total, calls, err := workloads.RunScaleOut(8, 12, &p, nil)
 		if err != nil {
 			t.Fatalf("boards=%d: %v", boards, err)
 		}

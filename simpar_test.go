@@ -56,13 +56,15 @@ func runScaleOutRecord(t *testing.T, boards int, policy string, faults string, f
 	p := platform.DefaultParams()
 	p.Faults = faults
 	p.FaultSeed = faultSeed
+	p.Boards = boards
+	p.BoardPolicy = policy
 	var rec simParRecord
 	obs := &sim.Observer{
 		TraceCap: 1 << 14,
 		OnReport: func(r sim.Report) { rec.report, rec.metrics = formatReport(r), r.Metrics },
 		OnSimPar: func(st sim.SimParStats) { rec.stats = st },
 	}
-	total, calls, err := workloads.RunScaleOut(6, 8, boards, policy, &p, obs)
+	total, calls, err := workloads.RunScaleOut(6, 8, &p, obs)
 	if err != nil {
 		t.Fatalf("boards=%d policy=%q faults=%q: %v", boards, policy, faults, err)
 	}
@@ -208,10 +210,10 @@ func TestSimParPhasesForm(t *testing.T) {
 	}
 	p := platform.DefaultParams()
 	p.HostCores = 6
+	p.Boards = 4
 	sys, err := flick.Build(flick.Config{
 		Sources: map[string]string{"mix.fasm": placementMix},
 		Params:  &p,
-		Boards:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -270,10 +272,10 @@ func TestSimParRaceStress(t *testing.T) {
 		p.HostCores = tasks
 		p.Faults = "dma1.fail=1,msi.drop=0.05"
 		p.FaultSeed = 7
+		p.Boards = 4
 		sys, err := flick.Build(flick.Config{
 			Sources: map[string]string{"mix.fasm": placementMix},
 			Params:  &p,
-			Boards:  4,
 		})
 		if err != nil {
 			t.Fatal(err)
