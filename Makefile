@@ -56,7 +56,8 @@ lint-isa:
 # The artifact matrix (cmd/flicksim/matrix_test.go): every byte-identity
 # relation between flicksim runs — -jobs 1 ≡ -jobs 8, default ≡ reference
 # engine, spelled-out defaults ≡ plain, and testdata/golden — as one
-# table. It skips under -race, so check runs it on its own.
+# table. Under -race (the race target) its two slow Quick-scale cells
+# skip, so check also runs it on its own.
 matrix:
 	$(GO) test -count=1 -run TestArtifactMatrix ./cmd/flicksim
 

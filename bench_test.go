@@ -233,14 +233,16 @@ func BenchmarkAblation_NXFaultVsStubs(b *testing.B) {
 func BenchmarkAblation_BFSWithoutVisitMigration(b *testing.B) {
 	o := opts()
 	d := workloads.Epinions1.Scale(o.BFSScale)
+	g := workloads.GenerateRMAT(d, o.Seed+1)
 	var with, without workloads.BFSResult
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		with, err = workloads.RunBFS(workloads.BFSConfig{Dataset: d, Iterations: 1, Seed: o.Seed})
+		with, err = workloads.RunBFS(workloads.BFSConfig{Dataset: d, Iterations: 1, Graph: g})
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err = workloads.RunBFS(workloads.BFSConfig{Dataset: d, Iterations: 1, Seed: o.Seed, SkipVisitCall: true})
+		without, err = workloads.RunBFS(workloads.BFSConfig{Dataset: d, Iterations: 1, Graph: g, SkipVisitCall: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -289,32 +291,6 @@ func BenchmarkAblation_TransparencyCost(b *testing.B) {
 	b.ReportMetric(r.Flick.Microseconds(), "virt-µs-flick")
 	b.ReportMetric(r.Offload.Microseconds(), "virt-µs-offload")
 	b.ReportMetric(r.TransparencyCost.Microseconds(), "virt-µs-transparency")
-}
-
-// BenchmarkScaleOut measures board scale-out: eight migrating host
-// threads spread their calls across 1, 2, and 4 NxP boards under the
-// kernel's round-robin placement. The metric is aggregate migrated calls
-// per virtual second versus board count.
-func BenchmarkScaleOut(b *testing.B) {
-	run := func(boards int) float64 {
-		p := platform.DefaultParams()
-		p.Boards = boards
-		total, calls, err := workloads.RunScaleOut(8, 12, &p, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return float64(calls) / total.Seconds()
-	}
-	var one, two, four float64
-	for i := 0; i < b.N; i++ {
-		one = run(1)
-		two = run(2)
-		four = run(4)
-	}
-	b.ReportMetric(one, "virt-calls/s-1board")
-	b.ReportMetric(two, "virt-calls/s-2boards")
-	b.ReportMetric(four, "virt-calls/s-4boards")
-	b.ReportMetric(four/one, "x-scaling-4boards")
 }
 
 // BenchmarkMultiTenantNxP measures board contention: several host threads

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,55 @@ func TestScaleOutSmoke(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "least-loaded") {
 		t.Errorf("table note does not name the policy:\n%s", stdout)
+	}
+}
+
+// TestScaleOutBoardISAList runs scaleout with a multi-entry -board-isa
+// list. Each sweep step takes the list's first entries for its boards, so
+// entry i stays board i: the one-board step is the plain nxp machine, and
+// from two boards up board 1 carries a cmp core, which serves its share
+// of the calls and so shortens the run.
+func TestScaleOutBoardISAList(t *testing.T) {
+	mPath := filepath.Join(t.TempDir(), "metrics.json")
+	code, stdout, stderr := runCLI(t, "-quiet", "-boards", "2", "-board-isa", "nxp,cmp", "-metrics-out", mPath, "scaleout")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	_, plain, _ := runCLI(t, "-quiet", "scaleout")
+	row := func(table, boards string) []string {
+		for _, line := range strings.Split(table, "\n") {
+			if f := strings.Fields(line); len(f) > 0 && f[0] == boards {
+				return f
+			}
+		}
+		t.Fatalf("no %s-board row in:\n%s", boards, table)
+		return nil
+	}
+	if got, want := strings.Join(row(stdout, "1"), " "), strings.Join(row(plain, "1"), " "); got != want {
+		t.Errorf("one-board row %q, want the plain run's %q", got, want)
+	}
+	micros := func(f []string) float64 {
+		v, err := strconv.ParseFloat(strings.TrimSuffix(f[1], "µs"), 64)
+		if err != nil {
+			t.Fatalf("total time %q: %v", f[1], err)
+		}
+		return v
+	}
+	if one, two := micros(row(stdout, "1")), micros(row(stdout, "2")); two >= one {
+		t.Errorf("two boards took %.0fµs, one board %.0fµs: the cmp board served no calls", two, one)
+	}
+	mb, err := os.ReadFile(mPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	if err := json.Unmarshal(mb, &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if n := metrics.Counters["cpu.cmp1.instret"]; n == 0 {
+		t.Error("the cmp core on board 1 retired no instructions")
 	}
 }
 

@@ -43,6 +43,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer sys.Close() // ends the machine's parked goroutines once we are done reading it
 	ret, err := sys.RunProgram("main")
 	if err != nil {
 		log.Fatal(err)

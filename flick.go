@@ -8,6 +8,7 @@
 //	sys, err := flick.Build(flick.Config{
 //	    Sources: map[string]string{"prog.fasm": src},
 //	})
+//	defer sys.Close()                           // frees the machine once read
 //	ret, err := sys.RunProgram("main", 42)      // runs to halt
 //	fmt.Println(sys.Now(), sys.Runtime.Stats()) // virtual time, migrations
 //
@@ -209,3 +210,10 @@ func (s *System) SimParStats() sim.SimParStats { return s.Machine.Env.SimParStat
 
 // Console returns the program's console output.
 func (s *System) Console() string { return s.Kernel.Console() }
+
+// Close ends the goroutines the machine's processes leave parked after
+// Run (DMA engines, board schedulers, host-core loops, tasks stuck in a
+// deadlock), so the System becomes garbage once dropped. Call it after
+// reading the results, Report included; Close is idempotent, and the
+// system cannot run again afterwards. See sim.Env.Close.
+func (s *System) Close() { s.Machine.Env.Close() }

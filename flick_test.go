@@ -1,8 +1,10 @@
 package flick_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"flick"
 	"flick/internal/platform"
@@ -182,10 +184,11 @@ func TestTraceCapacityPrecedence(t *testing.T) {
 	}
 }
 
-func TestDeadlockErrorNamesStuckTasks(t *testing.T) {
-	// A program that loses its migration wakeup must surface through the
-	// public API as a Deadlocked error that names the stuck task, not as a
-	// silent hang or an anonymous process list.
+// lostWakeupMachine builds a machine whose one task loses its migration
+// wakeup, recreating the §IV-D race deterministically: the descriptor DMA
+// fires before suspension and descheduling is slower than the NxP round
+// trip.
+func lostWakeupMachine() *flick.System {
 	sys := flick.MustBuild(flick.Config{
 		Sources: map[string]string{"a.fasm": `
 .func main isa=host
@@ -197,14 +200,18 @@ func TestDeadlockErrorNamesStuckTasks(t *testing.T) {
 .endfunc
 `},
 	})
-	// Recreate the §IV-D lost-wakeup race deterministically: fire the
-	// descriptor DMA before suspension and make descheduling slower than
-	// the NxP round trip.
 	sys.Kernel.EagerDMATrigger = true
 	costs := sys.Kernel.Costs()
 	costs.ContextSwitchAway = 500 * sim.Microsecond
 	sys.Kernel.SetCosts(costs)
-	_, err := sys.RunProgram("main")
+	return sys
+}
+
+func TestDeadlockErrorNamesStuckTasks(t *testing.T) {
+	// A program that loses its migration wakeup must surface through the
+	// public API as a Deadlocked error that names the stuck task, not as a
+	// silent hang or an anonymous process list.
+	_, err := lostWakeupMachine().RunProgram("main")
 	if err == nil {
 		t.Fatal("lost-wakeup run returned no error")
 	}
@@ -212,6 +219,34 @@ func TestDeadlockErrorNamesStuckTasks(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("err = %v, want it to mention %q", err, want)
 		}
+	}
+}
+
+// TestCloseEndsDeadlockedMachine closes a machine whose task is blocked
+// mid-call by the lost-wakeup race: the deadlock report is read first,
+// and then every goroutine the machine left parked (the stuck task's host
+// core, the board scheduler, the DMA engines) must end.
+func TestCloseEndsDeadlockedMachine(t *testing.T) {
+	start := runtime.NumGoroutine()
+	sys := lostWakeupMachine()
+	if _, err := sys.RunProgram("main"); err == nil {
+		t.Fatal("lost-wakeup run returned no error")
+	}
+	if len(sys.Machine.Env.Deadlocked()) == 0 || len(sys.Kernel.StuckTasks()) == 0 {
+		t.Fatal("no deadlock report before Close")
+	}
+	parked := runtime.NumGoroutine()
+	if parked <= start {
+		t.Fatalf("%d goroutines after the run, %d before: nothing parked", parked, start)
+	}
+	sys.Close()
+	sys.Close()
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > start && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > start {
+		t.Errorf("%d goroutines after Close (%d parked), %d before the build", n, parked, start)
 	}
 }
 

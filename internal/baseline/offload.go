@@ -73,6 +73,7 @@ func RunOffloadComparison(iters int) (OffloadComparison, error) {
 		if err != nil {
 			return 0, err
 		}
+		defer sys.Close()
 		target, err := sys.Symbol("nxp_null")
 		if err != nil {
 			return 0, err

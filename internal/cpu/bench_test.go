@@ -42,13 +42,45 @@ loop:
 `
 }
 
-// buildBenchRig assembles the loop and wires the minimal platform around
-// one core: identity-mapped pages, 64-entry TLBs, a 10 ns walk cost, an
-// I-cache with a fill cost, and tagged execution for the DSP (which has
-// no NX polarity of its own).
-func buildBenchRig(tb testing.TB, is isa.ISA) *benchRig {
+// memSrc returns a never-terminating loop for the ISA that stores, loads,
+// pushes and pops every pass, over the writable block "scratch" (the
+// harness points sp at its end).
+func memSrc(is isa.ISA) string {
+	return `
+.func main isa=host
+    ret
+.endfunc
+.data scratch isa=host align=64
+    .zero 64
+.enddata
+.func spin isa=` + is.String() + `
+    la   t0, scratch
+loop:
+    st8  a0, [t0+0]
+    ld8  t1, [t0+0]
+    st4  a0, [t0+8]
+    ld4  t1, [t0+8]
+    st2  a0, [t0+12]
+    ld2  t1, [t0+12]
+    st1  a0, [t0+14]
+    ld1  t1, [t0+14]
+    push a0
+    pop  t1
+    addi a0, a0, 1
+    bne  a0, a1, loop
+    ret
+.endfunc
+`
+}
+
+// buildBenchRig assembles src (benchSrc or memSrc) and wires the minimal
+// platform around one core entering at "spin": identity-mapped pages,
+// 64-entry TLBs, a 10 ns walk cost, an I-cache with a fill cost, and
+// tagged execution for the DSP (which has no NX polarity of its own).
+// When src defines "scratch", sp starts at its end.
+func buildBenchRig(tb testing.TB, is isa.ISA, src string) *benchRig {
 	tb.Helper()
-	obj, err := asm.Assemble("bench.fasm", benchSrc(is))
+	obj, err := asm.Assemble("bench.fasm", src)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -107,6 +139,9 @@ func buildBenchRig(tb testing.TB, is isa.ISA) *benchRig {
 
 	ctx := &cpu.Context{PC: im.Symbols["spin"]}
 	ctx.SetReg(isa.A1, ^uint64(0))
+	if va, ok := im.Symbols["scratch"]; ok {
+		ctx.SetReg(isa.SP, va+64)
+	}
 	core.SetContext(ctx)
 	return &benchRig{env: env, core: core, ctx: ctx}
 }
@@ -118,7 +153,7 @@ func buildBenchRig(tb testing.TB, is isa.ISA) *benchRig {
 // generations (with FLICKSIM_NOPREDECODE=1 each Step retires exactly one
 // instruction and this reduces to the old Step-counting loop).
 func benchCoreStep(b *testing.B, is isa.ISA) {
-	rig := buildBenchRig(b, is)
+	rig := buildBenchRig(b, is, benchSrc(is))
 	var stepErr error
 	rig.env.Spawn("bench", func(p *sim.Proc) {
 		// Warm the TLB, I-cache, and superblock cache out of the timed
@@ -152,36 +187,67 @@ func BenchmarkCoreStep(b *testing.B) {
 
 // TestStepZeroAllocs pins the tentpole's allocation contract: the
 // steady-state Step path — predecode hit, MRU translation, in-place
-// sleep — must not allocate at all.
+// sleep — must not allocate at all, whether the block computes or loads,
+// stores, pushes and pops (an access buffer must never escape through
+// the bus).
 func TestStepZeroAllocs(t *testing.T) {
 	if sim.FastPathsDisabled() {
 		t.Skip("FLICKSIM_NOPREDECODE set: slow path makes no allocation promise")
 	}
 	for _, be := range isa.All() {
 		is := be.ISA()
-		rig := buildBenchRig(t, is)
-		var stepErr error
-		avg := -1.0
-		rig.env.Spawn("alloc", func(p *sim.Proc) {
-			for i := 0; i < 64 && stepErr == nil; i++ {
-				stepErr = rig.core.Step(p)
-			}
-			if stepErr != nil {
-				return
-			}
-			avg = testing.AllocsPerRun(200, func() {
-				if err := rig.core.Step(p); err != nil {
-					stepErr = err
+		for _, loop := range []struct{ name, src string }{{"ALU", benchSrc(is)}, {"load/store", memSrc(is)}} {
+			rig := buildBenchRig(t, is, loop.src)
+			var stepErr error
+			avg := -1.0
+			rig.env.Spawn("alloc", func(p *sim.Proc) {
+				for i := 0; i < 64 && stepErr == nil; i++ {
+					stepErr = rig.core.Step(p)
 				}
+				if stepErr != nil {
+					return
+				}
+				avg = testing.AllocsPerRun(200, func() {
+					if err := rig.core.Step(p); err != nil {
+						stepErr = err
+					}
+				})
 			})
+			rig.env.Run()
+			if stepErr != nil {
+				t.Fatalf("%v %s: step: %v", is, loop.name, stepErr)
+			}
+			if avg != 0 {
+				t.Errorf("%v %s: %v allocs per steady-state Step, want 0", is, loop.name, avg)
+			}
+		}
+	}
+}
+
+// TestVirtWordZeroAllocs extends the contract to the natives' data path:
+// a ReadU64Virt and WriteU64Virt pair on a mapped page must not allocate.
+func TestVirtWordZeroAllocs(t *testing.T) {
+	if sim.FastPathsDisabled() {
+		t.Skip("FLICKSIM_NOPREDECODE set: slow path makes no allocation promise")
+	}
+	rig := buildBenchRig(t, isa.ISAHost, memSrc(isa.ISAHost))
+	va := rig.ctx.Reg(isa.SP) - 64 // the scratch block
+	var err error
+	avg := -1.0
+	rig.env.Spawn("alloc", func(p *sim.Proc) {
+		avg = testing.AllocsPerRun(200, func() {
+			var v uint64
+			if v, err = rig.core.ReadU64Virt(p, va); err == nil {
+				err = rig.core.WriteU64Virt(p, va, v+1)
+			}
 		})
-		rig.env.Run()
-		if stepErr != nil {
-			t.Fatalf("%v: step: %v", is, stepErr)
-		}
-		if avg != 0 {
-			t.Errorf("%v: %v allocs per steady-state Step, want 0", is, avg)
-		}
+	})
+	rig.env.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg != 0 {
+		t.Errorf("%v allocs per ReadU64Virt+WriteU64Virt, want 0", avg)
 	}
 }
 
@@ -192,7 +258,7 @@ func TestBenchRigUsesPredecode(t *testing.T) {
 	if sim.FastPathsDisabled() {
 		t.Skip("FLICKSIM_NOPREDECODE set")
 	}
-	rig := buildBenchRig(t, isa.ISAHost)
+	rig := buildBenchRig(t, isa.ISAHost, benchSrc(isa.ISAHost))
 	var stepErr error
 	rig.env.Spawn("probe", func(p *sim.Proc) {
 		for i := 0; i < 100 && stepErr == nil; i++ {

@@ -378,7 +378,7 @@ func TestCmpDenseLoopHitRate(t *testing.T) {
 	if sim.FastPathsDisabled() {
 		t.Skip("FLICKSIM_NOPREDECODE set")
 	}
-	rig := buildBenchRig(t, isa.ISACmp)
+	rig := buildBenchRig(t, isa.ISACmp, benchSrc(isa.ISACmp))
 	var stepErr error
 	rig.env.Spawn("dense", func(p *sim.Proc) {
 		start, _ := rig.core.Stats()

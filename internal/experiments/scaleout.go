@@ -22,11 +22,12 @@ const (
 var ScaleOutBoardCounts = []int{1, 2, 3, 4}
 
 // ScaleOut renders the board scale-out throughput extension (beyond the
-// paper): M concurrent host tasks migrate their calls across N NxP
-// boards under the configured placement policy, and virtual-time
-// throughput is reported against board count. One job per board count;
-// each verifies the workload's built-in functional oracle, so the table
-// doubles as a placement-correctness check.
+// paper): M concurrent host tasks migrate their calls across N boards
+// (NxP unless BoardISAs names other families, which may be mixed) under
+// the configured placement policy, and virtual-time throughput is
+// reported against board count. One job per board count; each verifies
+// the workload's built-in functional oracle, so the table doubles as a
+// placement-correctness check.
 func ScaleOut(o Options) (*stats.Table, error) {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -46,16 +47,21 @@ func ScaleOut(o Options) (*stats.Table, error) {
 			p = *mp
 		}
 		p.Boards = ScaleOutBoardCounts[i]
-		if len(p.BoardISAs) == 1 {
-			// A fixed board-ISA list cannot fit a board-count sweep; a
-			// single entry means "every board in every sweep step carries
-			// this family". (Replicating "nxp" matches the default-padded
-			// machine exactly, so artifacts are unchanged for it.)
+		switch n := len(p.BoardISAs); {
+		case n == 1:
+			// A single entry means "every board in every sweep step
+			// carries this family". (Replicating "nxp" matches the
+			// default-padded machine exactly, so artifacts are unchanged
+			// for it.)
 			isas := make([]string, p.Boards)
 			for j := range isas {
 				isas[j] = p.BoardISAs[0]
 			}
 			p.BoardISAs = isas
+		case n > p.Boards:
+			// A longer list is cut to the step's boards, so entry i stays
+			// board i; the platform pads a shorter one with nxp.
+			p.BoardISAs = p.BoardISAs[:p.Boards]
 		}
 		total, calls, err := workloads.RunScaleOut(scaleOutTasks, scaleOutCalls, &p, obs)
 		return throughput{total, calls}, err

@@ -113,6 +113,7 @@ func soakRun(params *platform.Params) (soakOutcome, error) {
 	if err != nil {
 		return soakOutcome{}, err
 	}
+	defer sys.Close()
 	ret, err := sys.RunProgram("main", soakArg)
 	if err != nil {
 		return soakOutcome{}, err

@@ -33,8 +33,9 @@ func (k Kind) String() string {
 }
 
 // Device is the handler interface for MMIO regions. Offsets are relative to
-// the region base. Devices see word-sized accesses as the byte slices the
-// bus carries; register devices typically decode 4- or 8-byte accesses.
+// the region base. Devices see word-sized accesses as byte slices, each a
+// private copy of the bytes the bus carries (never the caller's buffer);
+// register devices typically decode 4- or 8-byte accesses.
 type Device interface {
 	MMIORead(off uint64, buf []byte) error
 	MMIOWrite(off uint64, buf []byte) error
@@ -179,7 +180,14 @@ func (as *AddressSpace) Read(addr uint64, buf []byte) error {
 		return &FaultError{Addr: addr, Space: as.Name, Reason: "access crosses region boundary"}
 	}
 	if r.Kind == MMIO {
-		return r.dev.MMIORead(off, buf)
+		// A device gets a private copy: handing it buf would make every
+		// caller's buffer escape to the heap, the MMIO-free loads included.
+		b := make([]byte, len(buf))
+		if err := r.dev.MMIORead(off, b); err != nil {
+			return err
+		}
+		copy(buf, b)
+		return nil
 	}
 	r.store.ReadAt(off, buf)
 	return nil
@@ -196,7 +204,7 @@ func (as *AddressSpace) Write(addr uint64, buf []byte) error {
 	}
 	switch r.Kind {
 	case MMIO:
-		return r.dev.MMIOWrite(off, buf)
+		return r.dev.MMIOWrite(off, append([]byte(nil), buf...)) // private copy, as in Read
 	case ROM:
 		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
 	}
@@ -237,41 +245,10 @@ func (as *AddressSpace) WatchCode(addr, n uint64) (*Sparse, bool) {
 	return r.store, true
 }
 
-// The word-sized accessors below duplicate Read/Write's resolve-and-check
-// prologue instead of delegating to them. The indirection they avoid is
-// not cosmetic: Read/Write may hand the buffer to a Device interface, so a
-// caller's stack buffer always escapes through them — one heap allocation
-// per simulated load/store, which made ReadU64 the single largest
-// allocation site in the simulator. Keeping the RAM/ROM word path on
-// concrete *Sparse calls lets every word access run allocation-free; only
-// the (rare) MMIO branch still pays the interface escape.
-
-// wordRegion resolves addr for an n-byte word access with Read/Write's
-// boundary semantics.
-func (as *AddressSpace) wordRegion(addr, n uint64) (*Region, uint64, error) {
-	r, off, err := as.Lookup(addr)
-	if err != nil {
-		return nil, 0, err
-	}
-	if off+n > r.size {
-		return nil, 0, &FaultError{Addr: addr, Space: as.Name, Reason: "access crosses region boundary"}
-	}
-	return r, off, nil
-}
-
 // ReadU64 reads a little-endian 64-bit word.
 func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
-	r, off, err := as.wordRegion(addr, 8)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [8]byte
-		r.store.ReadAt(off, b[:])
-		return binary.LittleEndian.Uint64(b[:]), nil
-	}
 	var b [8]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
+	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint64(b[:]), nil
@@ -279,37 +256,15 @@ func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
 
 // WriteU64 writes a little-endian 64-bit word.
 func (as *AddressSpace) WriteU64(addr, v uint64) error {
-	r, off, err := as.wordRegion(addr, 8)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	r.store.WriteAt(off, b[:])
-	return nil
+	return as.Write(addr, b[:])
 }
 
 // ReadU32 reads a little-endian 32-bit word.
 func (as *AddressSpace) ReadU32(addr uint64) (uint32, error) {
-	r, off, err := as.wordRegion(addr, 4)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [4]byte
-		r.store.ReadAt(off, b[:])
-		return binary.LittleEndian.Uint32(b[:]), nil
-	}
 	var b [4]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
+	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint32(b[:]), nil
@@ -317,37 +272,15 @@ func (as *AddressSpace) ReadU32(addr uint64) (uint32, error) {
 
 // WriteU32 writes a little-endian 32-bit word.
 func (as *AddressSpace) WriteU32(addr uint64, v uint32) error {
-	r, off, err := as.wordRegion(addr, 4)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	r.store.WriteAt(off, b[:])
-	return nil
+	return as.Write(addr, b[:])
 }
 
 // ReadU16 reads a little-endian 16-bit word.
 func (as *AddressSpace) ReadU16(addr uint64) (uint16, error) {
-	r, off, err := as.wordRegion(addr, 2)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [2]byte
-		r.store.ReadAt(off, b[:])
-		return binary.LittleEndian.Uint16(b[:]), nil
-	}
 	var b [2]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
+	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
 	return binary.LittleEndian.Uint16(b[:]), nil
@@ -355,37 +288,15 @@ func (as *AddressSpace) ReadU16(addr uint64) (uint16, error) {
 
 // WriteU16 writes a little-endian 16-bit word.
 func (as *AddressSpace) WriteU16(addr uint64, v uint16) error {
-	r, off, err := as.wordRegion(addr, 2)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], v)
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
 	var b [2]byte
 	binary.LittleEndian.PutUint16(b[:], v)
-	r.store.WriteAt(off, b[:])
-	return nil
+	return as.Write(addr, b[:])
 }
 
 // ReadU8 reads one byte.
 func (as *AddressSpace) ReadU8(addr uint64) (uint8, error) {
-	r, off, err := as.wordRegion(addr, 1)
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != MMIO {
-		var b [1]byte
-		r.store.ReadAt(off, b[:])
-		return b[0], nil
-	}
 	var b [1]byte
-	if err := r.dev.MMIORead(off, b[:]); err != nil {
+	if err := as.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
 	return b[0], nil
@@ -393,18 +304,5 @@ func (as *AddressSpace) ReadU8(addr uint64) (uint8, error) {
 
 // WriteU8 writes one byte.
 func (as *AddressSpace) WriteU8(addr uint64, v uint8) error {
-	r, off, err := as.wordRegion(addr, 1)
-	if err != nil {
-		return err
-	}
-	switch r.Kind {
-	case MMIO:
-		b := [1]byte{v}
-		return r.dev.MMIOWrite(off, b[:])
-	case ROM:
-		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
-	}
-	b := [1]byte{v}
-	r.store.WriteAt(off, b[:])
-	return nil
+	return as.Write(addr, []byte{v})
 }

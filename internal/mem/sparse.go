@@ -9,10 +9,10 @@ package mem
 
 import "fmt"
 
-// chunkBits selects the sparse allocation granule (64 KiB). Multi-gigabyte
+// chunkBits selects the sparse allocation granule (4 KiB). Multi-gigabyte
 // simulated DIMMs only consume real memory for the granules actually
 // touched, so a "4 GB" NxP board costs nothing until a workload writes it.
-const chunkBits = 16
+const chunkBits = 12
 const chunkSize = 1 << chunkBits
 
 // frameBits selects the code-watch granule (4 KiB, one page frame).

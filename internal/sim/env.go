@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 )
 
@@ -32,6 +33,10 @@ func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOPREDECODE") != "" }
 // RunUntil deadline, an empty queue, or a panic to re-raise. The queue
 // alone orders events, so the simulation is fully deterministic despite
 // being built from goroutines.
+//
+// Run leaves the goroutine of every process that has not finished parked
+// on its resume channel, and a parked goroutine keeps the whole machine
+// reachable. Close ends them once the caller is done with the Env.
 type Env struct {
 	now     Time
 	seq     uint64
@@ -48,6 +53,7 @@ type Env struct {
 	trace   *Trace
 	metrics *Metrics
 	yield   chan any // returns the baton to Run's goroutine, carrying a panic to re-raise or nil
+	closed  bool     // Close has run: a ceding process ends its goroutine instead
 
 	statHandoffs uint64 // goroutine switches the baton took (see SimParStats.Handoffs)
 
@@ -329,10 +335,15 @@ func (e *Env) nextContained() (next *Proc, panicV any) {
 // body returns or panics and passes the baton on. A panic goes straight
 // back to Run's goroutine to be re-raised. A body that returns inside its
 // run-ahead window retires through the replay instead, so its last sleeps
-// still consume the sequence numbers they would have sequentially.
+// still consume the sequence numbers they would have sequentially. A
+// process Close stopped only acknowledges, leaving the baton with Close.
 func (p *Proc) exit() {
 	r := recover()
 	e := p.env
+	if e.closed {
+		e.yield <- r
+		return
+	}
 	if p.inPhase && r == nil {
 		p.phaseDone = true
 		p.leaveWindow()
@@ -351,10 +362,44 @@ func (p *Proc) exit() {
 }
 
 // cede passes the baton on from the running process and returns once the
-// process is resumed.
+// process is resumed. On a closed Env it ends the goroutine instead: the
+// resumption was Close's stop signal, or the caller is a deferred call of
+// a stopped process, which must not run the event loop.
 func (p *Proc) cede() {
-	if !p.env.pass(p) {
+	if !p.env.closed && !p.env.pass(p) {
 		<-p.resume
+	}
+	if p.env.closed {
+		runtime.Goexit()
+	}
+}
+
+// Close ends the goroutine of every process still parked after Run or
+// RunUntil returned, so a machine nobody references any more becomes
+// garbage. Each goroutine is resumed in turn with the stop signal and
+// unwinds through runtime.Goexit; its deferred calls run, and any of them
+// that would sleep, wait or otherwise cede ends the goroutine there, so
+// none advances the clock, runs the event loop or resumes another
+// process. A process that never started has no goroutine to end.
+//
+// Read everything the run produced (Report, Deadlocked, the model's own
+// state) before Close: the deferred calls may still touch it. Close must
+// be called from outside the simulation, never from a process; it is
+// idempotent, and Run and RunUntil panic once it has run.
+func (e *Env) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	e.horizon = -1 // no deferred Sleep can advance the clock in place
+	for _, p := range e.procs {
+		if p.body != nil || p.state == stateDone || p.phaseDone {
+			continue // no goroutine, or one that has already ended
+		}
+		p.resume <- struct{}{}
+		if v := <-e.yield; v != nil {
+			panic(v)
+		}
 	}
 }
 
@@ -382,6 +427,9 @@ func (e *Env) RunUntil(deadline Time) Time {
 // drive is Run's goroutine's side of the baton: it resumes the next
 // process and waits for the baton to come back.
 func (e *Env) drive() {
+	if e.closed {
+		panic("sim: Run on a closed Env")
+	}
 	for p := e.next(); p != nil; p = e.next() {
 		e.resume(p)
 		if v := <-e.yield; v != nil {

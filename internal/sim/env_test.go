@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSleepAdvancesClock(t *testing.T) {
@@ -188,6 +191,60 @@ func TestDeadlockDetection(t *testing.T) {
 	if len(stuck) != 1 || stuck[0] != "stuck" {
 		t.Errorf("Deadlocked = %v, want [stuck]", stuck)
 	}
+}
+
+// Close ends the goroutine of every process Run left parked (blocked on a
+// condition, idling as a daemon, asleep past a RunUntil deadline), runs
+// their deferred calls without letting a deferred Sleep move the clock,
+// and leaves a process that never started alone. Deadlocked's report is
+// read first; Close is idempotent, and Run afterwards panics.
+func TestCloseEndsParkedGoroutines(t *testing.T) {
+	start := runtime.NumGoroutine()
+	env := NewEnv()
+	c := env.NewCond("never")
+	var deferred []string
+	env.Spawn("stuck", func(p *Proc) {
+		defer func() { deferred = append(deferred, "stuck") }()
+		defer p.Sleep(Microsecond)
+		p.Wait(c)
+	})
+	env.SpawnDaemon("daemon", func(p *Proc) {
+		defer func() { deferred = append(deferred, "daemon") }()
+		p.WaitFor(c, func() bool { return false })
+	})
+	env.Spawn("sleeper", func(p *Proc) {
+		defer func() { deferred = append(deferred, "sleeper") }()
+		p.Sleep(100 * Microsecond)
+	})
+	end := env.RunUntil(Time(10 * Microsecond))
+	env.Spawn("unstarted", func(*Proc) { t.Error("a process spawned after the run started") })
+	if stuck := env.Deadlocked(); !slices.Equal(stuck, []string{"stuck"}) {
+		t.Errorf("Deadlocked = %v, want [stuck]", stuck)
+	}
+	if n := runtime.NumGoroutine(); n < start+3 {
+		t.Fatalf("%d goroutines after the run, want at least %d parked", n, start+3)
+	}
+	env.Close()
+	env.Close()
+	if want := []string{"stuck", "daemon", "sleeper"}; !slices.Equal(deferred, want) {
+		t.Errorf("deferred calls ran for %v, want %v", deferred, want)
+	}
+	if env.Now() != end {
+		t.Errorf("Close moved the clock from %v to %v", end, env.Now())
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > start && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > start {
+		t.Errorf("%d goroutines after Close, %d before the run", n, start)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Run on a closed Env did not panic")
+		}
+	}()
+	env.Run()
 }
 
 func TestRunUntil(t *testing.T) {

@@ -88,8 +88,10 @@ type BFSConfig struct {
 	Dataset    Dataset
 	Iterations int // measured iterations (paper: 10)
 	Baseline   bool
-	Seed       int64
-	Params     *platform.Params
+	// Graph is the graph to traverse (GenerateRMAT of Dataset); runs only
+	// read it, so they may share one.
+	Graph  *CSR
+	Params *platform.Params
 	// SkipVisitCall drops the per-vertex host call (ablation).
 	SkipVisitCall bool
 	// Obs, when non-nil, receives the run's observability report.
@@ -111,7 +113,7 @@ func RunBFS(cfg BFSConfig) (BFSResult, error) {
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 1
 	}
-	g := GenerateRMAT(cfg.Dataset, cfg.Seed+1)
+	g := cfg.Graph
 	wantVisited, wantSum := ReferenceBFS(g, 0)
 
 	sys, err := flick.Build(flick.Config{
@@ -122,6 +124,7 @@ func RunBFS(cfg BFSConfig) (BFSResult, error) {
 	if err != nil {
 		return BFSResult{}, err
 	}
+	defer sys.Close()
 	lay, err := loadGraph(sys, g)
 	if err != nil {
 		return BFSResult{}, err

@@ -255,6 +255,7 @@ func RunKVStore(cfg KVConfig) (KVResult, error) {
 	if err != nil {
 		return KVResult{}, err
 	}
+	defer sys.Close()
 	tableVA, err := sys.Program.NxPHeap.Alloc(uint64(len(table))*8, 4096)
 	if err != nil {
 		return KVResult{}, err

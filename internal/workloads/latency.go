@@ -140,6 +140,7 @@ func RunLatencyMode(mode LatencyMode, iterations int, params *platform.Params, o
 	if err != nil {
 		return 0, err
 	}
+	defer sys.Close()
 	buf, err := sys.Program.NxPHeap.Alloc(4096, 4096)
 	if err != nil {
 		return 0, err
@@ -164,5 +165,6 @@ func PageFaultCost(params *platform.Params) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer sys.Close()
 	return sys.Kernel.Costs().PageFaultEntry, nil
 }

@@ -106,6 +106,7 @@ func NullCallPhase(cfg NullCallConfig, nested bool) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer sys.Close()
 	sys.Runtime.ExtraMigrationLatency = cfg.ExtraMigrationLatency
 	elapsedNS, err := sys.RunProgram("main", uint64(cfg.Iterations), mode)
 	cfg.Obs.Collect(sys)
@@ -195,6 +196,7 @@ w:
 	if err != nil {
 		return 0, 0, err
 	}
+	defer sys.Close()
 	var tasks []*kernel.Task
 	for i := 0; i < tenants; i++ {
 		task, err := sys.Start("main", uint64(callsPerTenant))

@@ -165,6 +165,7 @@ func RunPointerChase(cfg PointerChaseConfig) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer sys.Close()
 	sys.Runtime.ExtraMigrationLatency = cfg.ExtraMigrationLatency
 	sys.RegisterNative(nativeHostWork, func(p *sim.Proc, c *cpu.Core) error {
 		p.Sleep(sim.Duration(c.Context().Reg(isa.A0)) * sim.Nanosecond)

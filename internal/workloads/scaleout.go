@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"flick"
 	"flick/internal/kernel"
@@ -14,12 +15,13 @@ import (
 // taskid+iter, which the thread accumulates into its exit code. The exit
 // value is a pure function of (taskid, calls) — independent of which board
 // served each call — so it doubles as the placement-equivalence oracle.
-// The work function's ISA family is substituted in (%s) so the workload
-// runs unchanged on machines whose boards carry a non-default family
-// (-board-isa cmp); with the default boards it assembles to exactly the
-// historical isa=nxp source.
+// The source is written once per board family on the machine (%[1]s is
+// the family, %[2]s the suffix of its two function names), so the
+// workload runs on boards of any family and on mixed boards
+// (-board-isa nxp,cmp); the first family's copy keeps the plain names,
+// so on one-family boards it assembles to exactly the historical source.
 const scaleOutSource = `
-.func main isa=host
+.func main%[2]s isa=host
     ; a0 = calls, a1 = task id
     mov  t4, a0          ; remaining calls
     mov  t3, a1          ; task id
@@ -28,7 +30,7 @@ const scaleOutSource = `
 l:
     mov  a0, t3
     mov  a1, t2
-    call board_work
+    call board_work%[2]s
     add  t5, t5, a0
     addi t2, t2, 1
     addi t4, t4, -1
@@ -37,7 +39,7 @@ l:
     sys  1
 .endfunc
 
-.func board_work isa=%s
+.func board_work%[2]s isa=%[1]s
     ; ~2µs of board work, then return a0+a1
     li   t0, 400
 w:
@@ -48,14 +50,18 @@ w:
 .endfunc
 `
 
-// scaleOutWorkFamily picks the family the work function assembles for:
-// the first board's family, i.e. the first BoardISAs entry, with the
-// empty entry (and an absent list) meaning the default board family.
-func scaleOutWorkFamily(p *platform.Params) string {
-	if len(p.BoardISAs) > 0 && p.BoardISAs[0] != "" {
-		return p.BoardISAs[0]
+// boardFamilies lists each board's core family on the machine p
+// describes: BoardISAs entry i for board i, with an empty or missing
+// entry meaning the default family, as the platform resolves them.
+func boardFamilies(p *platform.Params) []string {
+	fams := make([]string, max(p.Boards, 1))
+	for i := range fams {
+		fams[i] = "nxp"
+		if i < len(p.BoardISAs) && p.BoardISAs[i] != "" {
+			fams[i] = p.BoardISAs[i]
+		}
 	}
-	return "nxp"
+	return fams
 }
 
 // ScaleOutExit is the expected exit code of task id on a clean run:
@@ -68,25 +74,42 @@ func ScaleOutExit(id, calls int) uint64 {
 // describes (its Boards and BoardPolicy set the placement; nil is the
 // default one-board machine; HostCores is forced to tasks either way),
 // verifies every task's exit code against the built-in oracle, and
-// reports the completion time and total migrated calls. obs, when
-// non-nil, receives the run's observability report.
+// reports the completion time and total migrated calls. Task i calls the
+// work function of board i mod Boards's family, so mixed boards share
+// the tasks as boards of one family do. obs, when non-nil, receives the
+// run's observability report.
 func RunScaleOut(tasks, callsPerTask int, p *platform.Params, obs *sim.Observer) (sim.Duration, int, error) {
 	params := platform.DefaultParams()
 	if p != nil {
 		params = *p
 	}
 	params.HostCores = tasks
+	fams := boardFamilies(&params)
+	var src strings.Builder
+	entry := map[string]string{} // family → its host entry point
+	for _, f := range fams {
+		if _, ok := entry[f]; ok {
+			continue
+		}
+		suffix := ""
+		if len(entry) > 0 {
+			suffix = "_" + f
+		}
+		entry[f] = "main" + suffix
+		fmt.Fprintf(&src, scaleOutSource, f, suffix)
+	}
 	sys, err := flick.Build(flick.Config{
 		Params:  &params,
 		Obs:     obs,
-		Sources: map[string]string{"scaleout.fasm": fmt.Sprintf(scaleOutSource, scaleOutWorkFamily(&params))},
+		Sources: map[string]string{"scaleout.fasm": src.String()},
 	})
 	if err != nil {
 		return 0, 0, err
 	}
+	defer sys.Close()
 	var started []*kernel.Task
 	for i := 0; i < tasks; i++ {
-		task, err := sys.Start("main", uint64(callsPerTask), uint64(i))
+		task, err := sys.Start(entry[fams[i%len(fams)]], uint64(callsPerTask), uint64(i))
 		if err != nil {
 			return 0, 0, err
 		}

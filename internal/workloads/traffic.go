@@ -137,6 +137,7 @@ func RunTraffic(cfg TrafficConfig) (traffic.Result, error) {
 	if err != nil {
 		return traffic.Result{}, err
 	}
+	defer sys.Close()
 
 	// Admit each task at its scheduled virtual time. The event loop runs
 	// the timer callbacks in (time, seq) order — seq is assigned here

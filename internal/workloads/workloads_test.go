@@ -26,11 +26,12 @@ func chase(t *testing.T, nodes []int, calls int, extra sim.Duration, interval bo
 // and returns baseline/Flick.
 func bfsSpeedup(t *testing.T, d Dataset, seed int64) float64 {
 	t.Helper()
-	base, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Baseline: true, Seed: seed})
+	g := GenerateRMAT(d, seed+1)
+	base, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Baseline: true, Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Seed: seed})
+	fl, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +218,12 @@ func TestBFSPokecShape(t *testing.T) {
 // advantage grows to the raw memory-latency ratio.
 func TestBFSVisitCallAblation(t *testing.T) {
 	d := Epinions1.Scale(64)
-	withCall, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Seed: 3})
+	g := GenerateRMAT(d, 4)
+	withCall, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Graph: g})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Seed: 3, SkipVisitCall: true})
+	without, err := RunBFS(BFSConfig{Dataset: d, Iterations: 1, Graph: g, SkipVisitCall: true})
 	if err != nil {
 		t.Fatal(err)
 	}
