@@ -346,12 +346,12 @@ func BenchmarkSchedulerSpeedup(b *testing.B) {
 func BenchmarkScaleOutThroughput(b *testing.B) {
 	for _, boards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("boards=%d", boards), func(b *testing.B) {
-			var instr, phases uint64
+			var instr, windows uint64
 			for i := 0; i < b.N; i++ {
 				var snap sim.Snapshot
 				obs := &sim.Observer{
 					OnReport: func(r sim.Report) { snap = r.Metrics },
-					OnSimPar: func(sp sim.SimParStats) { phases += sp.Phases },
+					OnEngine: func(sp sim.EngineStats) { windows += sp.Windows },
 				}
 				p := platform.DefaultParams()
 				p.Boards = boards
@@ -368,7 +368,7 @@ func BenchmarkScaleOutThroughput(b *testing.B) {
 			// Run-ahead windows opened per million simulated instructions:
 			// fewer, longer windows mean fewer replays and handoffs.
 			if instr > 0 {
-				b.ReportMetric(float64(phases)/(float64(instr)/1e6), "phases/Minstr")
+				b.ReportMetric(float64(windows)/(float64(instr)/1e6), "windows/Minstr")
 			}
 		})
 	}

@@ -29,7 +29,7 @@
 //     sim-instr/s): higher is better; fails when the current capture
 //     drops more than the threshold below the baseline.
 //
-// Other units (B/op, phases/Minstr, ...) are carried in the record and
+// Other units (B/op, windows/Minstr, ...) are carried in the record and
 // printed for diffing but never fail the gate. Exit codes: 0 every baseline
 // benchmark present and within threshold, 1 regression or missing
 // benchmark, 2 usage/parse error.

@@ -35,7 +35,7 @@ func captureRuns(t *testing.T, path string, results map[string][]bench) string {
 		for _, metrics := range lines {
 			fmt.Fprintf(f, `{"Action":"output","Package":"p","Output":"%s         \t"}`+"\n", name)
 			line := fmt.Sprintf("1000\\t        %.2f ns/op", metrics["ns/op"])
-			for _, unit := range []string{"B/op", "allocs/op", "sim-instr/s", "phases/Minstr"} {
+			for _, unit := range []string{"B/op", "allocs/op", "sim-instr/s", "windows/Minstr"} {
 				if v, ok := metrics[unit]; ok {
 					line += fmt.Sprintf("\\t       %.2f %s", v, unit)
 				}
@@ -161,15 +161,15 @@ func TestThroughputGate(t *testing.T) {
 	}
 }
 
-// Units outside the gated set (B/op, phases/Minstr) are informational:
+// Units outside the gated set (B/op, windows/Minstr) are informational:
 // arbitrary swings must not fail the gate.
 func TestUngatedUnitsNeverFail(t *testing.T) {
 	dir := t.TempDir()
 	base := capture(t, filepath.Join(dir, "base.json"), map[string]bench{
-		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "B/op": 1000, "phases/Minstr": 100},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "B/op": 1000, "windows/Minstr": 100},
 	})
 	cur := capture(t, filepath.Join(dir, "cur.json"), map[string]bench{
-		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "B/op": 90000, "phases/Minstr": 9000},
+		"BenchmarkScaleOutThroughput/boards=4": {"ns/op": 70.0, "B/op": 90000, "windows/Minstr": 9000},
 	})
 	if code := run([]string{base, cur}); code != 0 {
 		t.Errorf("ungated unit swing: exit = %d, want 0", code)

@@ -386,7 +386,7 @@ func execRet(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 }
 
 func execNative(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
-	p.PhaseSync() // native helpers may touch any machine state
+	p.Sync() // native helpers may touch any machine state
 	ctx := c.ctx
 	fn, ok := c.cfg.Natives.lookup(ins.Imm)
 	if !ok {
@@ -405,7 +405,7 @@ func execNative(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
 }
 
 func execSys(c *Core, p *sim.Proc, ins isa.Instr, next uint64) error {
-	p.PhaseSync() // the syscall handler is kernel code, never domain-local
+	p.Sync() // the syscall handler is kernel code, never domain-local
 	if c.cfg.Sys == nil {
 		return fmt.Errorf("cpu: %s: sys %d with no handler", c, ins.Imm)
 	}
@@ -440,7 +440,7 @@ func b2u(b bool) uint64 {
 
 // deliver routes a synchronous fault through the handler.
 func (c *Core) deliver(p *sim.Proc, f *Fault) error {
-	p.PhaseSync() // fault handlers reach the kernel and emit trace events
+	p.Sync() // fault handlers reach the kernel and emit trace events
 	c.faults++
 	if c.cfg.Fault != nil {
 		return c.cfg.Fault(p, c, f)
@@ -483,7 +483,7 @@ func (c *Core) accessVirt(p *sim.Proc, va uint64, buf []byte, write bool) error 
 		if write && !r.Flags.Writable {
 			return &Fault{Kind: FaultDataProtection, ISA: c.cfg.ISA, VA: va, PC: c.ctx.PC}
 		}
-		c.phaseGuard(p, r.Phys)
+		c.domainGuard(p, r.Phys)
 		pageRemain := r.PageSize - (va & (r.PageSize - 1))
 		n := uint64(len(buf))
 		if n > pageRemain {

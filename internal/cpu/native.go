@@ -50,12 +50,12 @@ func (c *Core) Call(p *sim.Proc, target uint64, args ...uint64) (uint64, error) 
 	if len(args) > 6 {
 		return 0, fmt.Errorf("cpu: Call with %d args; calling convention passes at most 6", len(args))
 	}
-	if c.cfg.PhaseDomain > 0 {
+	if c.cfg.Domain > 0 {
 		// The interpreter loop below is this core's compute window: while
 		// it runs, the core may run ahead. EndCompute ends any run-ahead
 		// window still open when the call returns, so the caller's glue
 		// always runs sequentially.
-		p.BeginCompute(c.cfg.PhaseDomain)
+		p.BeginCompute(c.cfg.Domain)
 		defer p.EndCompute()
 	}
 	ctx := c.ctx

@@ -114,7 +114,7 @@ func (m *MMU) Translate(p *sim.Proc, va uint64) (tlb.Result, error) {
 		// also bars the rest of the compute window from run-ahead, so no
 		// window can open after the walk-cost Sleep below, between the
 		// walk and the Accessed-bit update.
-		p.PhaseSync()
+		p.Sync()
 	}
 	w, err := m.tables.Walk(va)
 	if err != nil {

@@ -355,7 +355,7 @@ func TestHandoffsPerResumption(t *testing.T) {
 	env.Run()
 	// Beyond one handoff per sleep: Run starting ping, ping's exit
 	// resuming pong, and pong's exit returning the baton to Run.
-	if got, want := env.SimParStats().Handoffs, uint64(2*n+3); got != want {
+	if got, want := env.EngineStats().Handoffs, uint64(2*n+3); got != want {
 		t.Errorf("%d lockstep sleeps took %d handoffs, want %d", 2*n, got, want)
 	}
 
@@ -363,12 +363,12 @@ func TestHandoffsPerResumption(t *testing.T) {
 	var during uint64
 	env.Spawn("waiter", func(p *Proc) {
 		c := env.NewCond("wake")
-		h := env.SimParStats().Handoffs
+		h := env.EngineStats().Handoffs
 		for i := 0; i < n; i++ {
 			env.AfterFunc(Nanosecond, c.Signal)
 			p.Wait(c)
 		}
-		during = env.SimParStats().Handoffs - h
+		during = env.EngineStats().Handoffs - h
 	})
 	env.Run()
 	if during != 0 {

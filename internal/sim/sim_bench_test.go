@@ -30,7 +30,7 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	}
 	// One handoff per sleep, plus Run starting ping, the first exit
 	// resuming the other process and the second returning to Run.
-	if got := env.SimParStats().Handoffs; got > uint64(b.N)+3 {
+	if got := env.EngineStats().Handoffs; got > uint64(b.N)+3 {
 		b.Fatalf("%d sleeps took %d goroutine handoffs; each must cost one", b.N, got)
 	}
 }
