@@ -15,6 +15,7 @@ import (
 	"strconv"
 
 	"flick"
+	"flick/internal/sim"
 )
 
 func main() {
@@ -40,9 +41,9 @@ func main() {
 	}
 
 	sys, err := flick.Build(flick.Config{
-		Sources:       map[string]string{path: string(src)},
-		Entry:         *entry,
-		TraceCapacity: max(*traceN*16, 0),
+		Sources: map[string]string{path: string(src)},
+		Entry:   *entry,
+		Obs:     &sim.Observer{TraceCap: max(*traceN*16, 0)},
 	})
 	if err != nil {
 		fatal(err)

@@ -54,7 +54,7 @@ func TestArtifactMatrix(t *testing.T) {
 
 // The fault specs the matrix runs, both at fault seed 7: A is the
 // golden faulted artifact's, B adds IPI loss and spurious faults, which
-// keep the default engine on sequential dispatch.
+// every core draws from its own stream.
 const (
 	specA = "-faults dma.fail=0.05,msi.drop=0.1,dma.dup=0.05 -fault-seed 7 "
 	specB = "-faults dma.fail=0.05,msi.drop=0.1,ipi.drop=0.2,cpu.spurious=0.01 -fault-seed 7 "
@@ -100,6 +100,7 @@ var matrix = []matrixCell{
 	{name: "table3-tenants", args: "-iters 2 table3 tenants", metrics: true, trace: true, rel: relJ},
 	{name: "table3", args: "-iters 2 table3", metrics: true, rel: relN},
 	{name: "soak", args: "soak", rel: relJ},
+	{name: "soak-boards3", args: "-boards 3 soak", rel: relJ | relE},
 }
 
 // outputs is what one run captured; metrics and trace are nil unless the

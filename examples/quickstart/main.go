@@ -14,6 +14,7 @@ import (
 	"log"
 
 	"flick"
+	"flick/internal/sim"
 )
 
 const program = `
@@ -37,8 +38,8 @@ const program = `
 
 func main() {
 	sys, err := flick.Build(flick.Config{
-		Sources:       map[string]string{"quickstart.fasm": program},
-		TraceCapacity: 64,
+		Sources: map[string]string{"quickstart.fasm": program},
+		Obs:     &sim.Observer{TraceCap: 64},
 	})
 	if err != nil {
 		log.Fatal(err)

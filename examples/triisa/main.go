@@ -53,9 +53,9 @@ func main() {
 	params := platform.DefaultParams()
 	params.EnableDSP = true
 	sys, err := flick.Build(flick.Config{
-		Params:        &params,
-		Sources:       map[string]string{"triisa.fasm": program},
-		TraceCapacity: 64,
+		Params:  &params,
+		Sources: map[string]string{"triisa.fasm": program},
+		Obs:     &sim.Observer{TraceCap: 64},
 	})
 	if err != nil {
 		log.Fatal(err)

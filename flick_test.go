@@ -141,6 +141,8 @@ func TestCustomMachineParams(t *testing.T) {
 	}
 }
 
+// TestTraceCapacityOption checks that the Observer's trace capacity sizes
+// the machine's trace at build time.
 func TestTraceCapacityOption(t *testing.T) {
 	sys := flick.MustBuild(flick.Config{
 		Sources: map[string]string{"a.fasm": `
@@ -152,35 +154,16 @@ func TestTraceCapacityOption(t *testing.T) {
     ret
 .endfunc
 `},
-		TraceCapacity: 32,
+		Obs: &sim.Observer{TraceCap: 32},
 	})
+	if got := sys.Machine.Env.Trace().Cap(); got != 32 {
+		t.Errorf("trace capacity = %d, want the Observer's 32", got)
+	}
 	if _, err := sys.RunProgram("main"); err != nil {
 		t.Fatal(err)
 	}
 	if len(sys.Machine.Env.Trace().Filter(sim.KindFault)) == 0 {
 		t.Error("trace recorded no fault events")
-	}
-}
-
-func TestTraceCapacityPrecedence(t *testing.T) {
-	src := map[string]string{"a.fasm": ".func main isa=host\n halt\n.endfunc"}
-	// An explicit TraceCapacity wins even when smaller than the Observer's
-	// request.
-	sys := flick.MustBuild(flick.Config{
-		Sources:       src,
-		TraceCapacity: 8,
-		Obs:           &sim.Observer{TraceCap: 64},
-	})
-	if got := sys.Machine.Env.Trace().Cap(); got != 8 {
-		t.Errorf("explicit TraceCapacity overridden: cap = %d, want 8", got)
-	}
-	// With TraceCapacity unset, the Observer's capacity applies.
-	sys = flick.MustBuild(flick.Config{
-		Sources: src,
-		Obs:     &sim.Observer{TraceCap: 64},
-	})
-	if got := sys.Machine.Env.Trace().Cap(); got != 64 {
-		t.Errorf("observer capacity ignored: cap = %d, want 64", got)
 	}
 }
 

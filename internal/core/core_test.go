@@ -593,7 +593,7 @@ func TestMigrationTraceEvents(t *testing.T) {
     ret
 .endfunc
 `},
-		TraceCapacity: 128,
+		Obs: &sim.Observer{TraceCap: 128},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,9 +22,9 @@ func buildAllISAs(t *testing.T, src string) *flick.System {
 	params.BoardISAs = []string{"nxp", "dsp", "cmp"}
 	params.Faults = "dma.fail=0" // never fires; registers migration.* counters
 	sys, err := flick.Build(flick.Config{
-		Params:        &params,
-		Sources:       map[string]string{"matrix.fasm": src},
-		TraceCapacity: 1 << 12,
+		Params:  &params,
+		Sources: map[string]string{"matrix.fasm": src},
+		Obs:     &sim.Observer{TraceCap: 1 << 12},
 	})
 	if err != nil {
 		t.Fatal(err)

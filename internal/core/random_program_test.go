@@ -243,8 +243,8 @@ func TestMetricsTraceInvariantsProperty(t *testing.T) {
 		}
 
 		sys, err := flick.Build(flick.Config{
-			Sources:       map[string]string{"chain.fasm": sb.String()},
-			TraceCapacity: 1 << 20,
+			Sources: map[string]string{"chain.fasm": sb.String()},
+			Obs:     &sim.Observer{TraceCap: 1 << 20},
 		})
 		if err != nil {
 			return fmt.Errorf("seed %d: build: %w", seed, err)

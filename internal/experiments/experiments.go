@@ -198,13 +198,20 @@ func (o Options) withDefaults() (Options, error) {
 // from (FaultSeed, position), so results are reproducible for any Jobs
 // value.
 func (o Options) machineParams(job uint64) *platform.Params {
-	if o.Faults == "" && o.Boards <= 1 && o.BoardPolicy == "" && o.BoardISAs == nil {
+	return o.faultParams(o.Faults, runner.DeriveSeed(o.FaultSeed, job))
+}
+
+// faultParams is machineParams with an explicit fault spec and seed: the
+// Options' board count, policy and ISA list with faults seeded by seed, or
+// nil for the default machine.
+func (o Options) faultParams(faults string, seed int64) *platform.Params {
+	if faults == "" && o.Boards <= 1 && o.BoardPolicy == "" && o.BoardISAs == nil {
 		return nil
 	}
 	p := platform.DefaultParams()
-	if o.Faults != "" {
-		p.Faults = o.Faults
-		p.FaultSeed = runner.DeriveSeed(o.FaultSeed, job)
+	if faults != "" {
+		p.Faults = faults
+		p.FaultSeed = seed
 	}
 	if o.Boards > 1 {
 		p.Boards = o.Boards

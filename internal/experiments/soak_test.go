@@ -35,3 +35,28 @@ func TestSoakSweepIncludesTrafficPhase(t *testing.T) {
 		t.Errorf("soak reported failures:\n%s", serial)
 	}
 }
+
+// TestSoakHonorsBoards pins that every soak machine takes the Options'
+// board count: the fault-free control row, which runs on the same machine
+// as the reference run, ends at another time on three boards than on one.
+func TestSoakHonorsBoards(t *testing.T) {
+	controlEnd := func(boards int) string {
+		o := tiny()
+		o.Boards = boards
+		o.Faults = "dma.delay=0.1:1us"
+		var buf bytes.Buffer
+		if err := Soak(o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 7 && f[0] == "none" {
+				return f[5] // End time
+			}
+		}
+		t.Fatalf("no control row in the soak table:\n%s", buf.String())
+		return ""
+	}
+	if one, three := controlEnd(1), controlEnd(3); one == three {
+		t.Errorf("the control row ends at %s on one board and on three: soak ignored Options.Boards", one)
+	}
+}

@@ -1,6 +1,7 @@
 package faultinj
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestNilInjectorIsSafe(t *testing.T) {
 	if d, ok := inj.Delay("msi", "delay"); ok || d != 0 {
 		t.Fatal("nil Delay fired")
 	}
-	if inj.RollFn("cpu", "spurious") != nil {
+	if inj.RollFn("cpu", "spurious", "host0") != nil {
 		t.Fatal("nil RollFn != nil")
 	}
 	if inj.Enabled() {
@@ -231,12 +232,64 @@ func TestDelayReturnsRuleDuration(t *testing.T) {
 
 func TestRollFn(t *testing.T) {
 	spec, _ := Parse("cpu.spurious=1")
-	inj := New(sim.NewEnv(), 1, spec)
-	fn := inj.RollFn("cpu", "spurious")
-	if fn == nil || !fn() {
-		t.Fatal("RollFn for prob=1 rule did not fire")
+	env := sim.NewEnv()
+	inj := New(env, 1, spec)
+	fn := inj.RollFn("cpu", "spurious", "host0")
+	if fn == nil {
+		t.Fatal("RollFn = nil for a configured rule")
 	}
-	if inj.RollFn("dma", "fail") != nil {
+	env.Spawn("core", func(p *sim.Proc) {
+		if !fn(p) {
+			t.Error("RollFn for prob=1 rule did not fire")
+		}
+	})
+	env.Run()
+	if inj.RollFn("dma", "fail", "host0") != nil {
 		t.Fatal("RollFn != nil for unconfigured rule")
+	}
+}
+
+// TestRollFnPerInstance pins the per-instance streams: an instance's draws
+// are the same however they interleave with another instance's, two
+// instances draw differently, and both count into the rule's one counter.
+func TestRollFnPerInstance(t *testing.T) {
+	const n = 400
+	draws := func(interleave bool) (a, b []bool, hits uint64) {
+		spec, _ := Parse("cpu.spurious=0.3")
+		env := sim.NewEnv()
+		inj := New(env, 7, spec)
+		fa, fb := inj.RollFn("cpu", "spurious", "host0"), inj.RollFn("cpu", "spurious", "nxp0")
+		env.Spawn("cores", func(p *sim.Proc) {
+			for i := 0; i < n; i++ {
+				a = append(a, fa(p))
+				if interleave {
+					b = append(b, fb(p))
+				}
+			}
+			for i := 0; !interleave && i < n; i++ {
+				b = append(b, fb(p))
+			}
+		})
+		env.Run()
+		return a, b, env.Metrics().Snapshot().Counter("fault.injected.cpu.spurious")
+	}
+	a1, b1, hits := draws(false)
+	a2, b2, _ := draws(true)
+	fired := 0
+	for i := range a1 {
+		if a1[i] != a2[i] || b1[i] != b2[i] {
+			t.Fatalf("draw %d depends on the interleaving: host0 %v/%v, nxp0 %v/%v", i, a1[i], a2[i], b1[i], b2[i])
+		}
+		for _, f := range []bool{a1[i], b1[i]} {
+			if f {
+				fired++
+			}
+		}
+	}
+	if slices.Equal(a1, b1) {
+		t.Error("host0 and nxp0 drew the same sequence")
+	}
+	if fired == 0 || hits != uint64(fired) {
+		t.Errorf("counter reads %d for %d fired draws", hits, fired)
 	}
 }

@@ -296,9 +296,6 @@ func (k *Kernel) AttachHostCore(core *cpu.Core) {
 	k.env.SpawnDaemon(core.Name(), func(p *sim.Proc) { k.hostCoreLoop(p, core) })
 }
 
-// HostCore returns the first attached core.
-func (k *Kernel) HostCore() *cpu.Core { return k.hosts[0] }
-
 // HostCores returns all attached host cores.
 func (k *Kernel) HostCores() []*cpu.Core { return k.hosts }
 
@@ -650,18 +647,15 @@ func (k *Kernel) ShootdownPage(p *sim.Proc, va uint64) {
 	}
 }
 
-// DeliverMSI is called by the DMA engine's completion callback to model
+// DeliverMSIVia is called by the DMA engine's completion callback to model
 // the MSI interrupt that wakes a suspended thread. It runs in the device's
 // process context; the interrupt and handler costs are charged to the
 // woken thread's timeline via a wake timestamp adjustment — the thread
 // sleeps WakeupSchedule after waking, and the IRQ costs are modeled as a
-// delayed wake.
-func (k *Kernel) DeliverMSI(pid int) { k.DeliverMSIVia("msi", pid) }
-
-// DeliverMSIVia is DeliverMSI for a named interrupt source: board i's
-// mailbox raises MSIs at site "msi<i>" (board 0 keeps the bare "msi"), so
-// fault specs can kill or delay exactly one board's completions. A site
-// without its own rule falls back to the generic "msi" rules.
+// delayed wake. site names the interrupt source: board i's mailbox raises
+// MSIs at site "msi<i>" (board 0 keeps the bare "msi"), so fault specs can
+// kill or delay exactly one board's completions. A site without its own
+// rule falls back to the generic "msi" rules.
 func (k *Kernel) DeliverMSIVia(site string, pid int) {
 	k.mIRQs.Inc()
 	t, ok := k.tasks[pid]

@@ -159,8 +159,14 @@ func (e *Engine) TransferCost(n int) sim.Duration {
 func (e *Engine) run(p *sim.Proc) {
 	for {
 		p.WaitFor(e.kick, func() bool { return len(e.queue) > 0 })
+		// Shift the rest down rather than re-slice past the head, which
+		// would shed capacity until an enqueue reallocates: the queue
+		// keeps its backing array, so a transfer allocates nothing once
+		// the queue has reached its peak depth.
 		req := e.queue[0]
-		e.queue = e.queue[1:]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = Request{}
+		e.queue = e.queue[:n]
 		e.space.Signal()
 		cost := e.TransferCost(req.Size)
 		if d, ok := e.inj.DelayAt(e.name, "dma", "delay"); ok {

@@ -57,12 +57,6 @@ func (l LinkParams) WriteLatency(n int) sim.Duration {
 	return l.RequestOverhead + sim.Duration(n)*l.PerByte
 }
 
-// DeliveryLatency returns the time for a posted write of n bytes to become
-// visible at the far side (issuer cost plus propagation).
-func (l LinkParams) DeliveryLatency(n int) sim.Duration {
-	return l.WriteLatency(n) + l.Propagation
-}
-
 // BurstLatency returns the cost for a DMA engine to move n bytes in one
 // burst: a single request overhead, one propagation, and the serialized
 // payload. This is the fast path the paper's descriptor transfer uses.

@@ -135,6 +135,39 @@ func TestDMAEngineFIFOAndSerialization(t *testing.T) {
 	}
 }
 
+// TestDMASteadyStateZeroAllocs pins that the engine's queue reuses its
+// backing array: once the queue has reached its peak depth, transfers
+// allocate nothing, whether requests arrive one at a time or in bursts.
+func TestDMASteadyStateZeroAllocs(t *testing.T) {
+	for _, burst := range []int{1, 3} {
+		env := sim.NewEnv()
+		host, nxp, _, _ := newTestSpaces(t)
+		eng := NewEngine(env, PCIe3x8(), 0)
+		const period = 10 * sim.Microsecond // far longer than a burst's transfers
+		var done int
+		onDone := func(sim.Time, bool) { done++ }
+		env.SpawnDaemon("driver", func(p *sim.Proc) {
+			for {
+				for i := 0; i < burst; i++ {
+					eng.SubmitFrom(p, Request{SrcSpace: host, Src: 0x100, DstSpace: nxp, Dst: 0x8000_0200,
+						Size: 64, Tag: "desc", OnDone: onDone})
+				}
+				p.Sleep(period)
+			}
+		})
+		env.RunUntil(sim.Time(0).Add(4 * period)) // warm up to the peak depth
+		before := done
+		allocs := testing.AllocsPerRun(100, func() { env.RunUntil(env.Now().Add(period)) })
+		if done-before < 100*burst {
+			t.Fatalf("burst %d: %d transfers in 100 periods, want at least %d", burst, done-before, 100*burst)
+		}
+		if allocs != 0 {
+			t.Errorf("burst %d: %.2f allocations per period of %d transfers, want 0", burst, allocs, burst)
+		}
+		env.Close()
+	}
+}
+
 func TestDMASubmitZeroSizePanics(t *testing.T) {
 	env := sim.NewEnv()
 	eng := NewEngine(env, PCIe3x8(), 0)

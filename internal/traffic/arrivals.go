@@ -54,9 +54,6 @@ const (
 	ShapeBurst Shape = "burst"
 )
 
-// Shapes lists the valid arrival shapes in display order.
-func Shapes() []Shape { return []Shape{ShapePoisson, ShapeBurst} }
-
 // ParseShape validates a shape name from a flag. The empty string selects
 // the default (poisson).
 func ParseShape(s string) (Shape, error) {
