@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-isa fmt-check bench bench-hotloop bench-check cover fuzz matrix clean
+.PHONY: all build vet test race check lint-isa fmt-check bench bench-hotloop bench-check profile cover fuzz matrix clean
 
 all: check
 
@@ -62,13 +62,14 @@ matrix:
 	$(GO) test -count=1 -run TestArtifactMatrix ./cmd/flicksim
 
 # The hot-loop record: end-to-end scale-out throughput, the interpreter's
-# steady-state step, the translate hit path, and the event engine's three
-# unit costs (a process handoff, a timer wake, and a queue pop and push at
-# a constant occupancy). Each benchmark runs five times; cmd/benchcheck
-# gates the median, because single runs of the engine's unit costs swing
-# past the 15% gate on an unchanged tree.
+# steady-state step, the translate hit path, one virtual data access on a
+# huge page, and the event engine's three unit costs (a process handoff, a
+# timer wake, and a queue pop and push at a constant occupancy). Each
+# benchmark runs five times; cmd/benchcheck gates the median, because
+# single runs of the engine's unit costs swing past the 15% gate on an
+# unchanged tree.
 HOTLOOP_BENCH = $(GO) test -run '^$$' -count 5 -benchmem -json \
-	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkProcessSwitch|BenchmarkTimerWake|BenchmarkQueueHold' \
+	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkVirtAccess|BenchmarkProcessSwitch|BenchmarkTimerWake|BenchmarkQueueHold' \
 	./internal/cpu ./internal/mmu ./internal/sim .
 
 bench:
@@ -91,6 +92,24 @@ bench-check:
 	@mkdir -p $(dir $(BENCH_CAPTURE))
 	$(HOTLOOP_BENCH) > $(BENCH_CAPTURE)
 	$(GO) run ./cmd/benchcheck BENCH_hotloop.json $(BENCH_CAPTURE)
+
+# Where `flicksim all` spends its CPU, by package: one profiled -jobs 1
+# run of every paper experiment, then the flat samples of
+# `go tool pprof -top` summed per package, largest first. Run it before
+# and after a perf change to see which layers the saving came from. The
+# profile stays in $(PROFILE) for `go tool pprof`.
+PROFILE = .bench_build/cpu.pprof
+profile:
+	@mkdir -p $(dir $(PROFILE))
+	$(GO) build -o .bench_build/flicksim ./cmd/flicksim
+	.bench_build/flicksim -jobs 1 -quiet -cpuprofile $(PROFILE) all > /dev/null
+	@$(GO) tool pprof -top -nodecount=1000000 -unit=ms .bench_build/flicksim $(PROFILE) 2>/dev/null | \
+	awk '$$1 ~ /^[0-9.]+ms$$/ && $$2 ~ /%$$/ { \
+		name = $$6; gsub(/\[[^]]*\]/, "", name); \
+		dir = ""; if (match(name, /.*\//)) { dir = substr(name, 1, RLENGTH); name = substr(name, RLENGTH + 1) } \
+		sub(/\..*/, "", name); ms[dir name] += $$1 + 0; total += $$1 + 0 } \
+		END { for (p in ms) printf "%9.0fms %5.1f%%  %s\n", ms[p], 100 * ms[p] / total, p; \
+			printf "%9.0fms %5.1f%%  total\n", total, 100 }' | sort -rn
 
 # Per-package coverage floors: 70% on the layers the observability work
 # locks down, 80% on the traffic plane its statistical suite covers. Fails

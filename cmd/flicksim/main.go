@@ -123,6 +123,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	runners := slices.Concat(experiments.Registry, modes)
+	ids := fs.Args()
+	if len(ids) == 1 && ids[0] == "all" {
+		ids = experiments.IDs()
+	}
+	todo := make([]experiments.Runner, len(ids))
+	for k, id := range ids {
+		i := slices.IndexFunc(runners, func(r experiments.Runner) bool { return r.ID == id })
+		if i < 0 {
+			fmt.Fprintf(stderr, "flicksim: unknown experiment %q\n", id)
+			return 2
+		}
+		if !runners[i].AnyBoardISA && !platform.HasNxPBoard(boardISAs, *boards) {
+			fmt.Fprintf(stderr, "flicksim: -board-isa %s: experiment %s runs nxp code and needs an nxp board\n", *boardISA, id)
+			fs.Usage()
+			return 2
+		}
+		todo[k] = runners[i]
+	}
 
 	// Profiling hooks for perf work: -cpuprofile samples the whole run,
 	// -memprofile snapshots the heap after the final experiment. Both are
@@ -187,25 +206,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		o.Obs = stats.NewObs(traceCap)
 	}
 
-	runners := slices.Concat(experiments.Registry, modes)
-	ids := fs.Args()
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = experiments.IDs()
-	}
-	for _, id := range ids {
-		i := slices.IndexFunc(runners, func(r experiments.Runner) bool { return r.ID == id })
-		if i < 0 {
-			fmt.Fprintf(stderr, "flicksim: unknown experiment %q\n", id)
-			return 2
-		}
+	for _, r := range todo {
 		start := time.Now()
-		if err := runners[i].Run(o, stdout); err != nil {
-			fmt.Fprintf(stderr, "flicksim: %s: %v\n", id, err)
+		if err := r.Run(o, stdout); err != nil {
+			fmt.Fprintf(stderr, "flicksim: %s: %v\n", r.ID, err)
 			return 1
 		}
 		fmt.Fprintln(stdout)
 		fmt.Fprintf(stderr, "  [%s regenerated in %.1fs wall time, %d jobs wide]\n",
-			id, time.Since(start).Seconds(), o.Jobs)
+			r.ID, time.Since(start).Seconds(), o.Jobs)
 	}
 
 	if *metricsOut != "" {

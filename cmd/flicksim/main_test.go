@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"flick/internal/experiments"
 )
 
 // runCLI invokes run() in-process and returns exit code, stdout, stderr.
@@ -48,6 +50,10 @@ func TestUnknownExperimentExit2(t *testing.T) {
 	}
 	if !strings.Contains(stderr, `unknown experiment "nonesuch"`) {
 		t.Errorf("stderr = %q", stderr)
+	}
+	// Every id is resolved before any experiment runs.
+	if code, stdout, _ := runCLI(t, "-quiet", "-iters", "2", "table3", "nonesuch"); code != 2 || stdout != "" {
+		t.Errorf("table3 nonesuch: exit = %d with %d bytes on stdout, want 2 with none", code, len(stdout))
 	}
 }
 
@@ -292,6 +298,35 @@ func TestTooManyBoardISAsExit2(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "-board-isa") || !strings.Contains(stderr, "usage: flicksim") {
 		t.Errorf("stderr missing flag name or usage:\n%s", stderr)
+	}
+}
+
+// TestBoardISAWithoutNxPExit2: every experiment but scaleout runs NxP
+// code, so a board list that leaves the machine no NxP board must be
+// refused at flag validation, naming the experiment, before anything
+// runs, rather than failing the build of the first machine.
+func TestBoardISAWithoutNxPExit2(t *testing.T) {
+	ids := append(experiments.IDs(), "soak", "traffic")
+	for _, args := range [][]string{
+		{"-board-isa", "cmp"},
+		{"-boards", "2", "-board-isa", "dsp,cmp"},
+	} {
+		for _, id := range ids {
+			code, stdout, stderr := runCLI(t, append(append([]string{"-quiet"}, args...), "scaleout", id)...)
+			if code != 2 {
+				t.Errorf("%v scaleout %s: exit = %d, want 2", args, id, code)
+			}
+			if stdout != "" {
+				t.Errorf("%v scaleout %s: an experiment ran before validation refused %s:\n%s", args, id, id, stdout)
+			}
+			if !strings.Contains(stderr, "experiment "+id+" ") || !strings.Contains(stderr, "usage: flicksim") {
+				t.Errorf("%v scaleout %s: stderr does not name %s or print usage:\n%s", args, id, id, stderr)
+			}
+		}
+	}
+	// A list that leaves one board NxP passes.
+	if code, _, stderr := runCLI(t, "-quiet", "-iters", "2", "-boards", "2", "-board-isa", "cmp", "table3"); code != 0 {
+		t.Errorf("-boards 2 -board-isa cmp table3: exit = %d, stderr:\n%s", code, stderr)
 	}
 }
 

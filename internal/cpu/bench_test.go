@@ -18,9 +18,11 @@ import (
 // ISA spinning a counted arithmetic loop over identity-mapped memory —
 // the steady state every workload's compute phase reduces to.
 type benchRig struct {
-	env  *sim.Env
-	core *cpu.Core
-	ctx  *cpu.Context
+	env    *sim.Env
+	core   *cpu.Core
+	ctx    *cpu.Context
+	phys   *mem.AddressSpace
+	tables *paging.Tables
 }
 
 // benchSrc returns a never-terminating two-instruction loop for the ISA
@@ -143,7 +145,22 @@ func buildBenchRig(tb testing.TB, is isa.ISA, src string) *benchRig {
 		ctx.SetReg(isa.SP, va+64)
 	}
 	core.SetContext(ctx)
-	return &benchRig{env: env, core: core, ctx: ctx}
+	return &benchRig{env: env, core: core, ctx: ctx, phys: phys, tables: tables}
+}
+
+// hugeDataVA is where mapHugeData puts its page, identity-mapped.
+const hugeDataVA = uint64(1 << 30)
+
+// mapHugeData backs [hugeDataVA, +1 GiB) with a sparse RAM region mapped
+// by one writable 1 GiB page, as Table IV maps its graph.
+func (r *benchRig) mapHugeData(tb testing.TB) {
+	tb.Helper()
+	if err := r.phys.Map(hugeDataVA, mem.NewRAM("huge", paging.PageSize1G)); err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.tables.Map(hugeDataVA, hugeDataVA, paging.PageSize1G, paging.Flags{Writable: true, User: true, NX: true}); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // benchCoreStep measures steady-state per-instruction wall-clock for one
@@ -225,29 +242,96 @@ func TestStepZeroAllocs(t *testing.T) {
 }
 
 // TestVirtWordZeroAllocs extends the contract to the natives' data path:
-// a ReadU64Virt and WriteU64Virt pair on a mapped page must not allocate.
+// a ReadU64Virt and WriteU64Virt pair must not allocate, on a 4 KiB page
+// and on a frame of a 1 GiB page other than the one its first access
+// resolved.
 func TestVirtWordZeroAllocs(t *testing.T) {
 	if sim.FastPathsDisabled() {
 		t.Skip("FLICKSIM_NOPREDECODE set: slow path makes no allocation promise")
 	}
 	rig := buildBenchRig(t, isa.ISAHost, memSrc(isa.ISAHost))
-	va := rig.ctx.Reg(isa.SP) - 64 // the scratch block
-	var err error
-	avg := -1.0
-	rig.env.Spawn("alloc", func(p *sim.Proc) {
-		avg = testing.AllocsPerRun(200, func() {
-			var v uint64
-			if v, err = rig.core.ReadU64Virt(p, va); err == nil {
-				err = rig.core.WriteU64Virt(p, va, v+1)
+	rig.mapHugeData(t)
+	for _, c := range []struct {
+		name      string
+		first, va uint64
+	}{
+		{"4KiB page", rig.ctx.Reg(isa.SP) - 64, rig.ctx.Reg(isa.SP) - 64}, // the scratch block
+		{"huge page", hugeDataVA, hugeDataVA + paging.PageSize4K + 8},
+	} {
+		var err error
+		avg := -1.0
+		rig.env.Spawn("alloc", func(p *sim.Proc) {
+			if _, err = rig.core.ReadU64Virt(p, c.first); err != nil {
+				return
 			}
+			avg = testing.AllocsPerRun(200, func() {
+				var v uint64
+				if v, err = rig.core.ReadU64Virt(p, c.va); err == nil {
+					err = rig.core.WriteU64Virt(p, c.va, v+1)
+				}
+			})
 		})
+		rig.env.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if avg != 0 {
+			t.Errorf("%s: %v allocs per ReadU64Virt+WriteU64Virt, want 0", c.name, avg)
+		}
+	}
+}
+
+// virtSink keeps BenchmarkVirtAccess's reads live.
+var virtSink uint64
+
+// BenchmarkVirtAccess measures one virtual data access as the natives
+// issue it: a ReadU64Virt on a 1 GiB page, each read 4 KiB + 8 bytes past
+// the last, so consecutive reads land on different 4 KiB frames of the
+// page, as Table IV's BFS kernel does across its graph. The reads cycle
+// over 64 written granules. It fails if any read walks the page tables
+// or if the MMU's translations differ from the reads issued.
+func BenchmarkVirtAccess(b *testing.B) {
+	const (
+		stride = paging.PageSize4K + 8
+		window = 64 * paging.PageSize4K // a power of two
+	)
+	rig := buildBenchRig(b, isa.ISAHost, benchSrc(isa.ISAHost))
+	rig.mapHugeData(b)
+	dmmu := rig.core.DMMU()
+	reg := sim.NewMetrics()
+	dmmu.Register(reg)
+	translates := "mmu." + dmmu.Name + ".translates"
+	var err error
+	var walks, reads, trans uint64
+	rig.env.Spawn("bench", func(p *sim.Proc) {
+		for off := uint64(0); off < window; off += paging.PageSize4K {
+			if err = rig.core.WriteU64Virt(p, hugeDataVA+off, off); err != nil {
+				return
+			}
+		}
+		walks, _ = dmmu.Stats()
+		trans = reg.Snapshot().Counter(translates)
+		b.ReportAllocs()
+		b.ResetTimer()
+		off := uint64(0)
+		for i := 0; i < b.N; i++ {
+			if virtSink, err = rig.core.ReadU64Virt(p, hugeDataVA+off); err != nil {
+				return
+			}
+			off = (off + stride) & (window - 1)
+		}
+		b.StopTimer()
+		reads = uint64(b.N)
 	})
 	rig.env.Run()
 	if err != nil {
-		t.Fatal(err)
+		b.Fatal(err)
 	}
-	if avg != 0 {
-		t.Errorf("%v allocs per ReadU64Virt+WriteU64Virt, want 0", avg)
+	if w, _ := dmmu.Stats(); w != walks {
+		b.Fatalf("%d walks during the timed reads, want 0", w-walks)
+	}
+	if got := reg.Snapshot().Counter(translates) - trans; got != reads {
+		b.Fatalf("%d translations for %d reads", got, reads)
 	}
 }
 

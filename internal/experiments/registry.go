@@ -12,6 +12,10 @@ type Runner struct {
 	ID    string
 	Title string
 	Run   func(o Options, w io.Writer) error
+	// AnyBoardISA says Run builds its guest images for whatever board
+	// families the machine has. Every other runner's images carry NxP
+	// text, so its machine needs an NxP board.
+	AnyBoardISA bool
 }
 
 // chartSize is the plot area every chart-producing experiment renders at,
@@ -56,16 +60,16 @@ func tableOnly[R any](gen func(Options) (*stats.Table, R, error)) func(Options) 
 // Registry lists every experiment in presentation order — the order
 // `flicksim all` regenerates them. It is exactly the `all` set.
 var Registry = []Runner{
-	{"table2", "Table II: migration overhead vs prior work", table(Table2)},
-	{"table3", "Table III: round-trip overhead", table(tableOnly(Table3))},
-	{"breakdown", "round-trip component decomposition", table(Breakdown)},
-	{"latency", "§V access latencies", table(tableOnly(Latency))},
-	{"fig5a", "Figure 5a: pointer chasing, migration per call", chart(Fig5a)},
-	{"fig5b", "Figure 5b: pointer chasing, migration per 100µs", chart(Fig5b)},
-	{"table4", "Table IV: BFS datasets and execution time", table(tableOnly(Table4))},
-	{"stubs", "ablation: NX fault vs compiler stubs", table(func(Options) (*stats.Table, error) { return StubAblation(), nil })},
-	{"tenants", "extension: multi-tenant NxP contention", table(Tenants)},
-	{"kv", "extension: near-data KV lookups vs batch size", table(KVStore)},
+	{ID: "table2", Title: "Table II: migration overhead vs prior work", Run: table(Table2)},
+	{ID: "table3", Title: "Table III: round-trip overhead", Run: table(tableOnly(Table3))},
+	{ID: "breakdown", Title: "round-trip component decomposition", Run: table(Breakdown)},
+	{ID: "latency", Title: "§V access latencies", Run: table(tableOnly(Latency))},
+	{ID: "fig5a", Title: "Figure 5a: pointer chasing, migration per call", Run: chart(Fig5a)},
+	{ID: "fig5b", Title: "Figure 5b: pointer chasing, migration per 100µs", Run: chart(Fig5b)},
+	{ID: "table4", Title: "Table IV: BFS datasets and execution time", Run: table(tableOnly(Table4))},
+	{ID: "stubs", Title: "ablation: NX fault vs compiler stubs", Run: table(func(Options) (*stats.Table, error) { return StubAblation(), nil })},
+	{ID: "tenants", Title: "extension: multi-tenant NxP contention", Run: table(Tenants)},
+	{ID: "kv", Title: "extension: near-data KV lookups vs batch size", Run: table(KVStore)},
 }
 
 // Modes lists the runs outside `all`, in the order flicksim lists them:
@@ -73,9 +77,9 @@ var Registry = []Runner{
 // open-loop traffic mode, which runs with topt.
 func Modes(topt TrafficOptions) []Runner {
 	return []Runner{
-		{"scaleout", "multi-board extension", table(ScaleOut)},
-		{"soak", "robustness gate", Soak},
-		{"traffic", "open-loop SLO mode", func(o Options, w io.Writer) error { return Traffic(o, topt, w) }},
+		{ID: "scaleout", Title: "multi-board extension", Run: table(ScaleOut), AnyBoardISA: true},
+		{ID: "soak", Title: "robustness gate", Run: Soak},
+		{ID: "traffic", Title: "open-loop SLO mode", Run: func(o Options, w io.Writer) error { return Traffic(o, topt, w) }},
 	}
 }
 

@@ -261,3 +261,94 @@ func TestKindString(t *testing.T) {
 		t.Error("unknown kind should still format")
 	}
 }
+
+func TestSparseLookasideFillsOnlyMaterializedGranules(t *testing.T) {
+	s := NewSparse(1 << 30)
+	off := uint64(5*chunkSize + 24)
+	slot := &s.look[(off>>chunkBits)%lookSlots]
+	var b [8]byte
+	s.ReadAt(off, b[:])
+	if b != [8]byte{} {
+		t.Fatalf("unwritten granule read %x, want zeros", b)
+	}
+	if slot.c != nil || s.AllocatedBytes() != 0 {
+		t.Fatal("reading a missing granule cached or materialized it")
+	}
+	s.WriteAt(off, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	if slot.c == nil || slot.key != off>>chunkBits {
+		t.Fatalf("the write left the slot at key %d, granule %v", slot.key, slot.c != nil)
+	}
+	s.ReadAt(off, b[:])
+	if b != [8]byte{1, 2, 3, 4, 5, 6, 7, 8} {
+		t.Errorf("read back %x through the slot", b)
+	}
+}
+
+func TestSparseLookasideAliasedGranulesAlternate(t *testing.T) {
+	s := NewSparse(1 << 30)
+	// Two granules lookSlots apart share one slot; a third, written only
+	// later, shares it too.
+	offs := []uint64{3 * chunkSize, (3 + lookSlots) * chunkSize, (3 + 2*lookSlots) * chunkSize}
+	s.WriteAt(offs[0]+8, []byte{0xAA})
+	s.WriteAt(offs[1]+8, []byte{0xBB})
+	var b [1]byte
+	for i := 0; i < 8; i++ {
+		for j, want := range []byte{0xAA, 0xBB, 0} {
+			s.ReadAt(offs[j]+8, b[:])
+			if b[0] != want {
+				t.Fatalf("round %d: granule %d read %#x, want %#x", i, j, b[0], want)
+			}
+		}
+		s.WriteAt(offs[i%2]+9, []byte{byte(i)})
+		s.ReadAt(offs[i%2]+9, b[:])
+		if b[0] != byte(i) {
+			t.Fatalf("round %d: granule %d lost a write", i, i%2)
+		}
+	}
+	s.WriteAt(offs[2]+8, []byte{0xCC})
+	for j, want := range []byte{0xAA, 0xBB, 0xCC} {
+		if s.ReadAt(offs[j]+8, b[:]); b[0] != want {
+			t.Errorf("granule %d read %#x, want %#x", j, b[0], want)
+		}
+	}
+	if got := s.AllocatedBytes(); got != 3*chunkSize {
+		t.Errorf("AllocatedBytes = %d, want 3 granules", got)
+	}
+}
+
+func TestLookupAcrossLaterMap(t *testing.T) {
+	as := NewAddressSpace("host")
+	a, b, c := NewRAM("a", 0x1000), NewRAM("b", 0x1000), NewRAM("c", 0x1000)
+	if err := as.Map(0x4000, a); err != nil {
+		t.Fatal(err)
+	}
+	check := func(addr uint64, want *Region, wantOff uint64) {
+		t.Helper()
+		r, off, err := as.Lookup(addr)
+		if want == nil {
+			if err == nil {
+				t.Errorf("Lookup(%#x) = %s+%#x, want a fault", addr, r.Name, off)
+			}
+			return
+		}
+		if err != nil || r != want || off != wantOff {
+			t.Errorf("Lookup(%#x) = %v+%#x, %v; want %s+%#x", addr, r, off, err, want.Name, wantOff)
+		}
+	}
+	check(0x4010, a, 0x10) // remembers a
+	check(0x2010, nil, 0)
+	// Mapping below a shifts a's index in the sorted mappings.
+	if err := as.Map(0x2000, b); err != nil {
+		t.Fatal(err)
+	}
+	check(0x2010, b, 0x10)
+	check(0x4FFF, a, 0xFFF)
+	check(0x5000, nil, 0)
+	if err := as.Map(0x5000, c); err != nil {
+		t.Fatal(err)
+	}
+	check(0x5000, c, 0)
+	check(0x4000, a, 0)
+	check(0x3000, nil, 0)
+	check(0x2000, b, 0)
+}

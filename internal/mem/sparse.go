@@ -18,11 +18,27 @@ const chunkSize = 1 << chunkBits
 // frameBits selects the code-watch granule (4 KiB, one page frame).
 const frameBits = 12
 
+// lookSlots sizes the granule lookaside (see Sparse.look): 128 slots of
+// 16 bytes, 2 KiB per store.
+const lookSlots = 128
+
+// granule is one lookaside slot: a materialized granule and its index.
+type granule struct {
+	key uint64
+	c   *[chunkSize]byte
+}
+
 // Sparse is a sparsely-allocated byte store of a fixed logical size.
 // The zero value is not usable; create one with NewSparse.
 type Sparse struct {
 	size   uint64
-	chunks map[uint64][]byte
+	chunks map[uint64]*[chunkSize]byte
+
+	// look is a direct-mapped lookaside of materialized granules, slot
+	// key%lookSlots, probed before the chunks map. Granules are never
+	// freed, so a slot never goes stale. A missing granule is never
+	// cached, because a later write materializes it.
+	look [lookSlots]granule
 
 	// Code-watch support for the CPU predecode cache. WatchCode marks the
 	// 4 KiB frames an instruction was decoded from; any write landing on a
@@ -37,7 +53,7 @@ type Sparse struct {
 
 // NewSparse creates a sparse store holding size bytes, all initially zero.
 func NewSparse(size uint64) *Sparse {
-	return &Sparse{size: size, chunks: make(map[uint64][]byte)}
+	return &Sparse{size: size, chunks: make(map[uint64]*[chunkSize]byte)}
 }
 
 // Size returns the logical size in bytes.
@@ -48,13 +64,23 @@ func (s *Sparse) AllocatedBytes() uint64 {
 	return uint64(len(s.chunks)) * chunkSize
 }
 
-func (s *Sparse) chunkFor(off uint64, create bool) []byte {
+// chunkFor returns the granule holding off, materializing it if create
+// is set; otherwise a granule never written returns nil.
+func (s *Sparse) chunkFor(off uint64, create bool) *[chunkSize]byte {
 	key := off >> chunkBits
+	g := &s.look[key%lookSlots]
+	if g.key == key && g.c != nil {
+		return g.c
+	}
 	c := s.chunks[key]
-	if c == nil && create {
-		c = make([]byte, chunkSize)
+	if c == nil {
+		if !create {
+			return nil
+		}
+		c = new([chunkSize]byte)
 		s.chunks[key] = c
 	}
+	*g = granule{key: key, c: c}
 	return c
 }
 

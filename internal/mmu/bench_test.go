@@ -23,9 +23,10 @@ func benchMMU(tb testing.TB) *MMU {
 
 // BenchmarkTranslateHit measures the steady-state translation cost the
 // core's fetch path pays on every step. "mru" repeats one address, the
-// last-translation fast path; "alternating" ping-pongs between two
-// offsets in the page, which still stays within the MRU window because
-// the fast path keys on the page frame, not the exact address.
+// last-translation memo; "alternating" steps through the page 8 bytes at
+// a time, which still stays within the memo because the memo answers any
+// address inside the remembered result's Span (here the whole 4 KiB
+// page), not just the exact address.
 func BenchmarkTranslateHit(b *testing.B) {
 	run := func(b *testing.B, stride uint64) {
 		m := benchMMU(b)

@@ -33,19 +33,19 @@ type MMU struct {
 	walks      uint64
 	walkTime   sim.Duration
 
-	// Last-translation fast path: while the TLB's generation is unchanged,
-	// a repeat translation on the same 4 KiB frame as the previous one is
+	// Last-translation memo: while the TLB's generation is unchanged, a
+	// repeat translation inside the window the previous one resolved is
 	// answered by offsetting the remembered result instead of re-running
-	// Lookup. An unchanged generation proves the real Lookup would be a
-	// statistics-only MRU hit (see tlb.TLB's gen field), so the counters
-	// are kept byte-identical via translates++ and TLB.CountHit. Only
-	// Linear results (uniform remap delta, no holes on the frame) are
-	// remembered. Disabled by FLICKSIM_NOPREDECODE.
-	lastVA  uint64
-	lastRes tlb.Result
-	lastGen uint64
-	lastOK  bool
-	noFast  bool
+	// Lookup. The window is the result's Span: a huge page's whole entry
+	// when it maps with one delta, else one 4 KiB frame. An unchanged
+	// generation proves the real Lookup would be a statistics-only MRU hit
+	// on the same entry (see tlb.TLB's gen field), so the counters are
+	// kept byte-identical via translates++ and TLB.CountHit. A zero
+	// last.Span disarms the memo; FLICKSIM_NOPREDECODE never arms it.
+	lastBase uint64     // first VA of the window
+	last     tlb.Result // the translation of lastBase
+	lastGen  uint64
+	noFast   bool
 }
 
 // Register publishes the MMU's counters into a metrics registry under
@@ -70,7 +70,7 @@ func New(name string, t *tlb.TLB, tables *paging.Tables, cost WalkReadCost, perM
 // flushes the TLB, modeling a PTBR load during context switch.
 func (m *MMU) SetTables(t *paging.Tables) {
 	m.tables = t
-	m.lastOK = false
+	m.last.Span = 0
 	m.TLB.Flush()
 }
 
@@ -86,17 +86,8 @@ var ErrNoTables = errors.New("mmu: no page tables loaded")
 // untimed-walk-free; permission checks are the core's job since NX polarity
 // differs between host and NxP.
 func (m *MMU) Translate(p *sim.Proc, va uint64) (tlb.Result, error) {
-	if m.lastOK && va>>12 == m.lastVA>>12 && m.TLB.Gen() == m.lastGen {
-		// Same 4 KiB frame as the previous translation and the TLB hasn't
-		// mutated since: a real Lookup would be an MRU hit whose only
-		// state change is hits++. Replicate the counters and offset the
-		// remembered result (valid because only Linear results are
-		// remembered). Unsigned subtraction wraps correctly for va below
-		// lastVA within the frame.
-		m.translates++
-		m.TLB.CountHit()
-		r := m.lastRes
-		r.Phys += va - m.lastVA
+	if r, ok := m.RepeatPeek(va); ok {
+		m.CountRepeatHit()
 		return r, nil
 	}
 	m.translates++
@@ -147,29 +138,30 @@ func (m *MMU) Translate(p *sim.Proc, va uint64) (tlb.Result, error) {
 	return r, nil
 }
 
-// remember arms the last-translation fast path with r, which translated
-// va. Only Linear results qualify; Hit is forced true because a repeat
-// translation of the same frame would hit in the TLB.
+// remember arms the last-translation memo with r, which translated va.
+// Only results with a nonzero Span qualify.
 func (m *MMU) remember(va uint64, r tlb.Result) {
-	if m.noFast || !r.Linear {
+	if m.noFast || r.Span == 0 {
 		return
 	}
-	r.Hit = true
-	m.lastVA, m.lastRes, m.lastGen, m.lastOK = va, r, m.TLB.Gen(), true
+	base := va &^ (r.Span - 1)
+	r.Phys -= va - base
+	m.lastBase, m.last, m.lastGen = base, r, m.TLB.Gen()
 }
 
 // RepeatPeek answers va from the last-translation window without any
 // metric or state change, reporting whether the window covers it. A true
-// result means a real Translate(va) would take the fast path above — same
-// 4 KiB frame, TLB generation unchanged — so a caller batching several
-// same-page translations may use the returned result for each and settle
-// the counters once via CountRepeatHit/CountRepeatHits. The superblock
-// executor is that caller; it must account one repeat hit per fetch it
-// actually performs, or metrics diverge from the per-instruction path.
+// result means a real Translate(va) would take the memo — va inside the
+// remembered Span, TLB generation unchanged — so a caller batching
+// several such translations may use the returned result for each and
+// settle the counters once via CountRepeatHit/CountRepeatHits. The
+// superblock executor is that caller; it must account one repeat hit per
+// fetch it actually performs, or metrics diverge from the
+// per-instruction path.
 func (m *MMU) RepeatPeek(va uint64) (tlb.Result, bool) {
-	if m.lastOK && va>>12 == m.lastVA>>12 && m.TLB.Gen() == m.lastGen {
-		r := m.lastRes
-		r.Phys += va - m.lastVA
+	if va-m.lastBase < m.last.Span && m.TLB.Gen() == m.lastGen {
+		r := m.last
+		r.Phys += va - m.lastBase
 		return r, true
 	}
 	return tlb.Result{}, false

@@ -12,6 +12,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"flick/internal/cpu"
@@ -278,6 +279,14 @@ func ParseBoardISAs(s string, boards int) ([]string, error) {
 		}
 	}
 	return parts, nil
+}
+
+// HasNxPBoard reports whether a machine of the given board count, its
+// families named by a ParseBoardISAs list, has an NxP board. Empty
+// entries and boards past the list's end are NxP.
+func HasNxPBoard(names []string, boards int) bool {
+	isas, err := resolveBoardISAs(names, boards)
+	return err == nil && slices.Contains(isas, isa.ISANxP)
 }
 
 // resolveBoardISAs expands the per-board name list to one backend per

@@ -213,6 +213,25 @@ func TestParseBoardISAs(t *testing.T) {
 	}
 }
 
+func TestHasNxPBoard(t *testing.T) {
+	for _, tc := range []struct {
+		names  []string
+		boards int
+		want   bool
+	}{
+		{nil, 1, true},
+		{[]string{"cmp"}, 1, false},
+		{[]string{"cmp", "dsp"}, 2, false},
+		{[]string{"cmp"}, 2, true},     // board 1 defaults to nxp
+		{[]string{"cmp", ""}, 2, true}, // so does an empty entry
+		{[]string{"dsp", "nxp"}, 2, true},
+	} {
+		if got := HasNxPBoard(tc.names, tc.boards); got != tc.want {
+			t.Errorf("HasNxPBoard(%q, %d) = %v, want %v", tc.names, tc.boards, got, tc.want)
+		}
+	}
+}
+
 // TestTaggedExecutionRule pins the generalized tagged-mode rule: NX
 // polarity suffices for exactly two core families; a third (the DSP, or
 // any extra board family) switches the machine to PTE ISA tags. The

@@ -77,9 +77,9 @@ type TLB struct {
 	// Lookup hit that reorders entries. A Lookup hit on the entry that is
 	// already most-recently-used leaves gen unchanged — its only state
 	// change is hits++, which CountHit replicates. The MMU's
-	// last-translation fast path caches (va page, Result, gen) and is valid
+	// last-translation memo caches (Span window, Result, gen) and is valid
 	// exactly while gen is unchanged, because an unchanged gen proves a
-	// real Lookup would be an MRU hit returning the same Result.
+	// real Lookup in the window would be an MRU hit on the same entry.
 	gen uint64
 }
 
@@ -146,37 +146,68 @@ func (t *TLB) CountHit() { t.hits++ }
 // proven (same page, unchanged Gen) would each be MRU hits.
 func (t *TLB) CountHits(n int) { t.hits += uint64(n) }
 
-// Result is a successful translation.
+// Result is a successful translation. It has four fields so that the
+// compiler keeps it in registers: MMU.Translate returns one, with an
+// error, on every virtual data access, and a fifth field makes each
+// caller copy it through its stack (see docs/PERFORMANCE.md).
 type Result struct {
 	Phys     uint64 // final physical address (post-remap, requester view)
 	Flags    paging.Flags
 	PageSize uint64
-	Hit      bool // satisfied from the TLB (or a hole) without a walk
 
-	// Linear reports that the whole 4 KiB frame around the translated
-	// address maps with one uniform delta: no hole intersects the virtual
-	// frame and the BAR remaps shift both ends of the raw physical frame
-	// equally. Only such results may feed same-page fast paths that add an
-	// offset instead of re-translating. Set by Lookup entry hits and
-	// Insert; hole results and Peek/ResultFor leave it false.
-	Linear bool
+	// Span is the size of the aligned virtual window around the
+	// translated address that maps with one uniform delta: the entry's
+	// whole page when no hole overlaps it and every BAR remap window
+	// either contains the page's raw physical range or misses it, else
+	// the 4 KiB frame when the frame passes the same test, else 0. Only a
+	// nonzero Span may feed fast paths that add an offset instead of
+	// re-translating. Set by Lookup entry hits and Insert; hole results
+	// and Peek/ResultFor leave it 0.
+	Span uint64
 }
 
-// frameLinear reports whether the 4 KiB virtual frame at vaFrame, whose
-// raw (pre-remap) physical frame starts at rawFrame, translates with one
-// uniform offset. Both arguments are 4 KiB-aligned.
-func (t *TLB) frameLinear(vaFrame, rawFrame uint64) bool {
+// span computes Result.Span for a translation of va through entry e.
+func (t *TLB) span(e Entry, va uint64) uint64 {
+	if t.linear(e.VABase, e.PhysBase, e.PageSize) {
+		return e.PageSize
+	}
+	frame := va &^ (paging.PageSize4K - 1)
+	if e.PageSize > paging.PageSize4K && t.linear(frame, e.PhysBase+(frame-e.VABase), paging.PageSize4K) {
+		return paging.PageSize4K
+	}
+	return 0
+}
+
+// linear reports whether the size-byte virtual range at va, whose raw
+// (pre-remap) physical range starts at raw, translates with one uniform
+// delta: no hole overlaps the virtual range, and every active remap
+// window either contains the raw range, so the first window matching
+// any of its addresses is the same one, or misses it. Both ranges are
+// size-aligned, so neither wraps.
+func (t *TLB) linear(va, raw, size uint64) bool {
 	for _, h := range t.holes {
-		// Wrap-safe overlap test: any overlap puts one range's start
-		// inside the other.
-		if vaFrame-h.VABase < h.Size || h.VABase-vaFrame < paging.PageSize4K {
+		if overlaps(va, size, h.VABase, h.Size) {
 			return false
 		}
 	}
-	if len(t.remaps) == 0 {
-		return true
+	for _, r := range t.remaps {
+		if !r.Active() {
+			continue
+		}
+		if d := raw - r.HostBase; d < r.Size && size-1 <= r.Size-1-d {
+			continue // contains
+		}
+		if overlaps(raw, size, r.HostBase, r.Size) {
+			return false
+		}
 	}
-	return t.applyRemap(rawFrame+paging.PageSize4K-1)-t.applyRemap(rawFrame) == paging.PageSize4K-1
+	return true
+}
+
+// overlaps reports whether [a, a+an) and [b, b+bn) intersect. Wrap-safe:
+// any overlap puts one range's start inside the other.
+func overlaps(a, an, b, bn uint64) bool {
+	return a-b < bn || b-a < an
 }
 
 // Lookup translates va if a hole or cached entry covers it. The boolean
@@ -189,7 +220,6 @@ func (t *TLB) Lookup(va uint64) (Result, bool) {
 				Phys:     h.PhysBase + (va - h.VABase),
 				Flags:    paging.Flags{Writable: true},
 				PageSize: h.Size,
-				Hit:      true,
 			}, true
 		}
 	}
@@ -204,13 +234,11 @@ func (t *TLB) Lookup(va uint64) (Result, bool) {
 				t.gen++
 			}
 			t.hits++
-			raw := e.PhysBase + (va - e.VABase)
 			return Result{
-				Phys:     t.applyRemap(raw),
+				Phys:     t.applyRemap(e.PhysBase + (va - e.VABase)),
 				Flags:    e.Flags,
 				PageSize: e.PageSize,
-				Hit:      true,
-				Linear:   t.frameLinear(va&^(paging.PageSize4K-1), raw&^(paging.PageSize4K-1)),
+				Span:     t.span(e, va),
 			}, true
 		}
 	}
@@ -228,7 +256,6 @@ func (t *TLB) Peek(va uint64) (Result, bool) {
 				Phys:     h.PhysBase + (va - h.VABase),
 				Flags:    paging.Flags{Writable: true},
 				PageSize: h.Size,
-				Hit:      true,
 			}, true
 		}
 	}
@@ -239,7 +266,6 @@ func (t *TLB) Peek(va uint64) (Result, bool) {
 				Phys:     t.applyRemap(e.PhysBase + (va - e.VABase)),
 				Flags:    e.Flags,
 				PageSize: e.PageSize,
-				Hit:      true,
 			}, true
 		}
 	}
@@ -254,7 +280,6 @@ func (t *TLB) ResultFor(va uint64, w paging.Walk) Result {
 		Phys:     t.applyRemap(w.PageBase + (va - base)),
 		Flags:    w.Flags,
 		PageSize: w.PageSize,
-		Hit:      false,
 	}
 }
 
@@ -273,13 +298,11 @@ func (t *TLB) Insert(va uint64, w paging.Walk) Result {
 	}
 	t.entries = append(t.entries, e)
 	t.gen++
-	raw := w.PageBase + (va - e.VABase)
 	return Result{
-		Phys:     t.applyRemap(raw),
+		Phys:     t.applyRemap(w.PageBase + (va - e.VABase)),
 		Flags:    w.Flags,
 		PageSize: w.PageSize,
-		Hit:      false,
-		Linear:   t.frameLinear(va&^(paging.PageSize4K-1), raw&^(paging.PageSize4K-1)),
+		Span:     t.span(e, va),
 	}
 }
 

@@ -18,11 +18,11 @@ func TestLookupMissThenHit(t *testing.T) {
 		t.Fatal("empty TLB hit")
 	}
 	r := tl.Insert(0x1234, walkFor(0x1234, 0x9234, paging.PageSize4K, paging.Flags{Writable: true}))
-	if r.Phys != 0x9234 || r.Hit {
+	if r.Phys != 0x9234 {
 		t.Errorf("insert result = %+v", r)
 	}
 	r2, ok := tl.Lookup(0x1FF8)
-	if !ok || r2.Phys != 0x9FF8 || !r2.Hit {
+	if !ok || r2.Phys != 0x9FF8 {
 		t.Errorf("hit = %+v, %v", r2, ok)
 	}
 	hits, misses := tl.Stats()
@@ -91,7 +91,7 @@ func TestHolesBypassTranslation(t *testing.T) {
 	tl := New("nxp-d-tlb", 16)
 	tl.AddHole(Hole{VABase: 0xFFFF_8000_0000_0000, Size: 1 << 20, PhysBase: 0x8100_0000})
 	r, ok := tl.Lookup(0xFFFF_8000_0000_0040)
-	if !ok || r.Phys != 0x8100_0040 || !r.Hit {
+	if !ok || r.Phys != 0x8100_0040 {
 		t.Errorf("hole lookup = %+v, %v", r, ok)
 	}
 	// Holes survive a flush; entries don't.
@@ -209,5 +209,130 @@ func TestHoleAtAddressSpaceTop(t *testing.T) {
 	}
 	if _, ok := tl.Peek(^uint64(0)); !ok {
 		t.Error("peek missed hole at top")
+	}
+}
+
+func TestSpanWholeHugePage(t *testing.T) {
+	for _, size := range []uint64{paging.PageSize2M, paging.PageSize1G} {
+		tl := New("d-tlb", 4)
+		va := uint64(1<<30) + 3*paging.PageSize4K + 8
+		r := tl.Insert(va, walkFor(va, 4<<30, size, paging.Flags{Writable: true}))
+		if r.Span != size {
+			t.Errorf("size %#x: Insert Span = %#x, want the whole page", size, r.Span)
+		}
+		if r, _ := tl.Lookup(1<<30 + size - 1); r.Span != size {
+			t.Errorf("size %#x: Lookup Span at the page's last byte = %#x, want %#x", size, r.Span, size)
+		}
+		if r, _ := tl.Peek(va); r.Span != 0 {
+			t.Errorf("size %#x: Peek Span = %#x, want 0", size, r.Span)
+		}
+		if r := tl.ResultFor(va, walkFor(va, 4<<30, size, paging.Flags{})); r.Span != 0 {
+			t.Errorf("size %#x: ResultFor Span = %#x, want 0", size, r.Span)
+		}
+	}
+	// A 4 KiB entry spans its own page.
+	tl := New("d-tlb", 4)
+	if r := tl.Insert(0x1234, walkFor(0x1234, 0x9000, paging.PageSize4K, paging.Flags{})); r.Span != paging.PageSize4K {
+		t.Errorf("4 KiB entry Span = %#x", r.Span)
+	}
+}
+
+func TestSpanHoleInsideHugePage(t *testing.T) {
+	const page = uint64(1 << 30)
+	tl := New("n-dtlb", 4)
+	tl.AddHole(Hole{VABase: page + 16*paging.PageSize4K, Size: 2 * paging.PageSize4K, PhysBase: 0x8100_0000})
+	tl.Insert(page, walkFor(page, 4<<30, paging.PageSize2M, paging.Flags{Writable: true}))
+	for _, c := range []struct {
+		va   uint64
+		span uint64
+	}{
+		{page, paging.PageSize4K},                            // frame clear of the hole
+		{page + 15*paging.PageSize4K + 8, paging.PageSize4K}, // frame just below it
+		{page + 18*paging.PageSize4K, paging.PageSize4K},     // frame just above it
+		{page + 16*paging.PageSize4K, 0},                     // inside: the hole answers
+	} {
+		r, ok := tl.Lookup(c.va)
+		if !ok || r.Span != c.span {
+			t.Errorf("Lookup(%#x) Span = %#x (ok %v), want %#x", c.va, r.Span, ok, c.span)
+		}
+	}
+	// A hole elsewhere leaves the whole page linear.
+	tl = New("n-dtlb", 4)
+	tl.AddHole(Hole{VABase: page + paging.PageSize2M, Size: paging.PageSize4K, PhysBase: 0x8100_0000})
+	if r := tl.Insert(page, walkFor(page, 4<<30, paging.PageSize2M, paging.Flags{})); r.Span != paging.PageSize2M {
+		t.Errorf("hole past the page's end: Span = %#x, want the whole page", r.Span)
+	}
+}
+
+func TestSpanRemapEdgeInsideHugePage(t *testing.T) {
+	const va, raw = uint64(1 << 30), uint64(0xA000_0000)
+	// A BAR window that starts 1 MiB into the page's raw range: frames on
+	// either side of the edge are linear, the page is not.
+	tl := New("n-dtlb", 4)
+	tl.SetRemap(Remap{HostBase: raw + 1<<20, Size: 4 << 20, Delta: 0x2000_0000})
+	tl.Insert(va, walkFor(va, raw, paging.PageSize2M, paging.Flags{Writable: true}))
+	for _, c := range []struct {
+		off, phys uint64
+	}{
+		{0x10, raw + 0x10},
+		{1<<20 - 8, raw + 1<<20 - 8},
+		{1 << 20, raw + 1<<20 - 0x2000_0000},
+		{1<<20 + 0x1008, raw + 1<<20 + 0x1008 - 0x2000_0000},
+	} {
+		r, ok := tl.Lookup(va + c.off)
+		if !ok || r.Span != paging.PageSize4K || r.Phys != c.phys {
+			t.Errorf("Lookup(+%#x) = Phys %#x Span %#x (ok %v), want Phys %#x Span 4 KiB", c.off, r.Phys, r.Span, ok, c.phys)
+		}
+	}
+	// A window containing the whole raw page keeps the page's span.
+	tl = New("n-dtlb", 4)
+	tl.SetRemap(Remap{HostBase: raw, Size: 4 << 20, Delta: 0x2000_0000})
+	if r := tl.Insert(va, walkFor(va, raw, paging.PageSize2M, paging.Flags{})); r.Span != paging.PageSize2M || r.Phys != raw-0x2000_0000 {
+		t.Errorf("contained page: Span %#x Phys %#x", r.Span, r.Phys)
+	}
+	// A window smaller than a frame, strictly inside one: both ends of
+	// the frame pass through unshifted, but its middle does not.
+	tl = New("n-dtlb", 4)
+	tl.SetRemap(Remap{HostBase: raw + 0x800, Size: 0x100, Delta: 0x2000_0000})
+	if r := tl.Insert(va, walkFor(va, raw, paging.PageSize4K, paging.Flags{})); r.Span != 0 {
+		t.Errorf("sub-frame window: Span = %#x, want 0", r.Span)
+	}
+}
+
+func TestSpanAtAddressSpaceTop(t *testing.T) {
+	// A huge page ending at 2^64 in both address spaces, with a remap
+	// window and a hole touching the top: none of the range arithmetic
+	// may wrap.
+	top := ^uint64(0)
+	base := top &^ (paging.PageSize2M - 1)
+	tl := New("n-dtlb", 4)
+	if r := tl.Insert(top, walkFor(top, top, paging.PageSize2M, paging.Flags{})); r.Span != paging.PageSize2M || r.Phys != top {
+		t.Errorf("top page: Span %#x Phys %#x", r.Span, r.Phys)
+	}
+
+	tl = New("n-dtlb", 4)
+	tl.AddRemap(Remap{HostBase: base, Size: paging.PageSize2M, Delta: base - 0x4000_0000})
+	if r := tl.Insert(top, walkFor(top, top, paging.PageSize2M, paging.Flags{})); r.Span != paging.PageSize2M || r.Phys != 0x4000_0000+paging.PageSize2M-1 {
+		t.Errorf("top page in a top window: Span %#x Phys %#x", r.Span, r.Phys)
+	}
+
+	tl = New("n-dtlb", 4)
+	tl.AddRemap(Remap{HostBase: top - 0xFFF, Size: 0x1000, Delta: 0x10_0000})
+	tl.Insert(base, walkFor(base, base, paging.PageSize2M, paging.Flags{}))
+	if r, _ := tl.Lookup(base); r.Span != paging.PageSize4K {
+		t.Errorf("page with a window on its top frame: Span at base = %#x, want 4 KiB", r.Span)
+	}
+	if r, _ := tl.Lookup(top); r.Span != paging.PageSize4K || r.Phys != top-0x10_0000 {
+		t.Errorf("top frame inside the window: Span %#x Phys %#x", r.Span, r.Phys)
+	}
+
+	tl = New("n-dtlb", 4)
+	tl.AddHole(Hole{VABase: top - 0xFFF, Size: 0x1000, PhysBase: 0x2000})
+	tl.Insert(base, walkFor(base, 0x4000_0000, paging.PageSize2M, paging.Flags{}))
+	if r, _ := tl.Lookup(top - 0x1000); r.Span != paging.PageSize4K {
+		t.Errorf("frame below a top hole: Span = %#x, want 4 KiB", r.Span)
+	}
+	if r, _ := tl.Lookup(top); r.Span != 0 || r.Phys != 0x2FFF {
+		t.Errorf("top hole: Span %#x Phys %#x", r.Span, r.Phys)
 	}
 }
