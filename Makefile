@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-isa fmt-check bench bench-hotloop bench-check profile cover fuzz matrix clean
+.PHONY: all build vet test race check lint-isa fmt-check perfbench-smoke bench bench-hotloop bench-check profile cover fuzz matrix clean
 
 all: check
 
@@ -23,7 +23,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check lint-isa race matrix
+check: build vet fmt-check lint-isa perfbench-smoke race matrix
+
+# perfbench's own tests (its module, perfbench/go.mod): they build the
+# benchmark against this tree and run every workload briefly, checking
+# its digests and metric contract, so a change that breaks the benchmark
+# fails here rather than when the benchmark is next run.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
 
 # Formatting gate: every tracked Go file must be gofmt-clean. Files under
 # .bench_build/ (perfbench's build tree) are never checked.
@@ -63,14 +70,15 @@ matrix:
 
 # The hot-loop record: end-to-end scale-out throughput, the interpreter's
 # steady-state step, the translate hit path, one virtual data access on a
-# huge page, and the event engine's three unit costs (a process handoff, a
-# timer wake, and a queue pop and push at a constant occupancy). Each
-# benchmark runs five times; cmd/benchcheck gates the median, because
-# single runs of the engine's unit costs swing past the 15% gate on an
-# unchanged tree.
+# huge page, the event engine's three unit costs (a process handoff, a
+# timer wake, and a queue pop and push at a constant occupancy), one Flick
+# round trip in each direction, and Table IV's largest Quick-scale graph
+# draw. Each benchmark runs five times; cmd/benchcheck gates the median,
+# because single runs of the engine's unit costs swing past the 15% gate
+# on an unchanged tree.
 HOTLOOP_BENCH = $(GO) test -run '^$$' -count 5 -benchmem -json \
-	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkVirtAccess|BenchmarkProcessSwitch|BenchmarkTimerWake|BenchmarkQueueHold' \
-	./internal/cpu ./internal/mmu ./internal/sim .
+	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkVirtAccess|BenchmarkProcessSwitch|BenchmarkTimerWake|BenchmarkQueueHold|BenchmarkFlickRoundTrip|BenchmarkGenerateRMAT' \
+	./internal/cpu ./internal/mmu ./internal/sim ./internal/workloads .
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -223,7 +223,7 @@ func (rt *Runtime) sendToNxPAndSuspend(p *sim.Proc, mb *Mailbox, t *kernel.Task,
 	pa, slot, seq := mb.StageH2NSlot()
 	d.Seq = seq
 	rt.writeDescHost(p, pa, d)
-	rt.K.MigrateAndSuspend(p, t, func() { mb.kickH2N(slot) })
+	rt.K.MigrateAndSuspend(p, t, mb.h2nDMA[slot].kick)
 }
 
 // nxpHandler is Listing 2: the NxP migration handler. The NxP fault

@@ -107,6 +107,10 @@ type Mailbox struct {
 	// historical answers bit-for-bit.
 	scanInflight bool
 
+	// h2nDMA and n2hDMA are each ring slot's descriptor transfer, its
+	// callbacks built once so a migration allocates nothing for them.
+	h2nDMA, n2hDMA [mailboxSlots]dmaSlot
+
 	// seqCtr stamps every staged descriptor with a nonzero sequence
 	// number; h2nSeq/n2hSeq remember the last sequence consumed per slot
 	// so a replayed DMA burst (injected dma.dup) is dropped on arrival.
@@ -129,6 +133,8 @@ type Mailbox struct {
 	schedC  map[isa.ISA]*sim.Cond
 	route   routeFn
 	waiters map[waiterKey]*mboxWaiter
+	// idle holds waiters WaitH2N released, for RegisterWaiter to reuse.
+	idle []*mboxWaiter
 
 	// Host-side arrival notes: pid → arrival slot.
 	n2hPending map[uint32]int
@@ -160,6 +166,16 @@ type mboxWaiter struct {
 	slot int
 	has  bool
 	cond *sim.Cond
+}
+
+// dmaSlot is one ring slot's descriptor transfer. kick starts it (the H2N
+// ring's deferred migration trigger; the N2H ring starts from its
+// doorbell), done receives the engine's completion, and attempt counts
+// the failed bursts of the transfer in flight, for the retry budget.
+type dmaSlot struct {
+	kick    func()
+	done    func(at sim.Time, ok bool)
+	attempt int
 }
 
 // newMailbox wires one board's transport onto a machine. hostStaging/
@@ -203,6 +219,24 @@ func newMailbox(m *platform.Machine, b *platform.Board, hostStaging, hostArrival
 		mb.schedC[be.ISA()] = m.Env.NewCond("mailbox" + sfx + ".sched." + be.Name())
 	}
 	mb.n2hFree = m.Env.NewCond("mailbox" + sfx + ".n2h-free")
+	for slot := range mailboxSlots {
+		h2n, n2h := &mb.h2nDMA[slot], &mb.n2hDMA[slot]
+		h2n.kick = func() { mb.kickH2N(slot) }
+		h2n.done = func(_ sim.Time, ok bool) {
+			if ok {
+				mb.h2nArrived(slot)
+				return
+			}
+			mb.retryDMA("h2n", "h2n-desc", slot, h2n, mb.hostStaging+uint64(slot)*DescSize, mb.submitH2N)
+		}
+		n2h.done = func(_ sim.Time, ok bool) {
+			if ok {
+				mb.n2hArrived(slot)
+				return
+			}
+			mb.retryDMA("n2h", "n2h-desc", slot, n2h, mb.bramHostBase+n2hStagingOff+uint64(slot)*DescSize, mb.submitN2H)
+		}
+	}
 	mb.regs = mem.NewMMIO("flick-regs"+sfx, 4096, (*mailboxRegs)(nil).bind(mb))
 	if _, err := m.ExposeNxPDevice(mb.regs, b.LocalRegs); err != nil {
 		return nil, err
@@ -286,23 +320,16 @@ func (mb *Mailbox) kickH2N(slot int) {
 		mb.h2nArrived(slot)
 		return
 	}
-	mb.submitH2N(slot, 0)
+	mb.h2nDMA[slot].attempt = 0
+	mb.submitH2N(slot)
 }
 
-func (mb *Mailbox) submitH2N(slot, attempt int) {
-	src := mb.hostStaging + uint64(slot)*DescSize
-	dst := mb.bramHostBase + h2nRingOff + uint64(slot)*DescSize
+func (mb *Mailbox) submitH2N(slot int) {
 	mb.dma.Submit(pcie.Request{
-		SrcSpace: mb.host, Src: src,
-		DstSpace: mb.host, Dst: dst,
+		SrcSpace: mb.host, Src: mb.hostStaging + uint64(slot)*DescSize,
+		DstSpace: mb.host, Dst: mb.bramHostBase + h2nRingOff + uint64(slot)*DescSize,
 		Size: DescSize, Tag: "h2n-desc",
-		OnDone: func(at sim.Time, ok bool) {
-			if ok {
-				mb.h2nArrived(slot)
-				return
-			}
-			mb.retryDMA("h2n", "h2n-desc", slot, attempt, src, mb.submitH2N)
-		},
+		OnDone: mb.h2nDMA[slot].done,
 	})
 }
 
@@ -311,14 +338,17 @@ func (mb *Mailbox) submitH2N(slot, attempt int) {
 // descPA; a failed burst writes nothing), release the slot, and report the
 // owning task with a typed TransportError so the failover logic can tell a
 // never-dispatched call (h2n loss) from an already-executed one (n2h loss).
-func (mb *Mailbox) retryDMA(dir, tag string, slot, attempt int, descPA uint64, resubmit func(slot, attempt int)) {
-	if attempt+1 < dmaMaxAttempts {
+// The slot stays owned while a retry is pending, so nothing restages it
+// and its attempt count belongs to this transfer alone.
+func (mb *Mailbox) retryDMA(dir, tag string, slot int, st *dmaSlot, descPA uint64, resubmit func(slot int)) {
+	if attempt := st.attempt; attempt+1 < dmaMaxAttempts {
 		mb.mDMARetries.Inc()
 		backoff := dmaRetryBackoff << uint(attempt)
+		st.attempt++
 		mb.env.Emit(sim.Event{Comp: mb.comp, Kind: sim.KindMailbox, Aux: uint64(slot), Note: tag + " retry"})
 		mb.env.SpawnDaemon(fmt.Sprintf("%s-retry-%s-%d-%d", mb.comp, tag, slot, attempt), func(p *sim.Proc) {
 			p.Sleep(backoff)
-			resubmit(slot, attempt+1)
+			resubmit(slot)
 		})
 		return
 	}
@@ -432,20 +462,33 @@ func (mb *Mailbox) h2nSlotHostPA(slot int) uint64 {
 // targeting its ISA arrives, and returns the slot.
 func (mb *Mailbox) WaitH2NUnclaimed(p *sim.Proc, is isa.ISA) int {
 	p.WaitFor(mb.schedC[is], func() bool { return len(mb.schedQ[is]) > 0 })
-	slot := mb.schedQ[is][0]
-	mb.schedQ[is] = mb.schedQ[is][1:]
+	// Shift the rest down rather than re-slice past the head, so the
+	// queue keeps its backing array and the next arrival's append does
+	// not reallocate.
+	q := mb.schedQ[is]
+	slot := q[0]
+	mb.schedQ[is] = q[:copy(q, q[1:])]
 	return slot
 }
 
 // RegisterWaiter declares that pid's thread is blocked on the given board
 // core awaiting a descriptor. Must be called before the doorbell that
 // invites the response, or the response could race past the registration.
+// It reuses a waiter an earlier WaitH2N released, reset to empty.
 func (mb *Mailbox) RegisterWaiter(pid uint32, is isa.ISA) {
 	k := waiterKey{pid: pid, is: is}
 	if _, dup := mb.waiters[k]; dup {
 		panic(fmt.Sprintf("core: duplicate mailbox waiter for pid %d on %v", pid, is))
 	}
-	mb.waiters[k] = &mboxWaiter{cond: mb.env.NewCond(fmt.Sprintf("mbox.wait.%d.%v", pid, is))}
+	var w *mboxWaiter
+	if n := len(mb.idle); n > 0 {
+		w = mb.idle[n-1]
+		mb.idle = mb.idle[:n-1]
+		w.slot, w.has = 0, false
+	} else {
+		w = &mboxWaiter{cond: mb.env.NewCond("mbox.wait")}
+	}
+	mb.waiters[k] = w
 }
 
 // WaitH2N blocks until a descriptor for (pid, core) arrives, unregisters
@@ -458,6 +501,9 @@ func (mb *Mailbox) WaitH2N(p *sim.Proc, pid uint32, is isa.ISA) int {
 	}
 	p.WaitFor(w.cond, func() bool { return w.has })
 	delete(mb.waiters, k)
+	// Signal has taken p off the cond, and only the map leads
+	// h2nArrived here, so nothing reaches w until it is reused.
+	mb.idle = append(mb.idle, w)
 	return w.slot
 }
 
@@ -502,23 +548,16 @@ func (mb *Mailbox) kickN2H(slot int) {
 		mb.n2hArrived(slot)
 		return
 	}
-	mb.submitN2H(slot, 0)
+	mb.n2hDMA[slot].attempt = 0
+	mb.submitN2H(slot)
 }
 
-func (mb *Mailbox) submitN2H(slot, attempt int) {
-	src := mb.bramHostBase + n2hStagingOff + uint64(slot)*DescSize
-	dst := mb.hostArrival + uint64(slot)*DescSize
+func (mb *Mailbox) submitN2H(slot int) {
 	mb.dma.Submit(pcie.Request{
-		SrcSpace: mb.host, Src: src,
-		DstSpace: mb.host, Dst: dst,
+		SrcSpace: mb.host, Src: mb.bramHostBase + n2hStagingOff + uint64(slot)*DescSize,
+		DstSpace: mb.host, Dst: mb.hostArrival + uint64(slot)*DescSize,
 		Size: DescSize, Tag: "n2h-desc",
-		OnDone: func(at sim.Time, ok bool) {
-			if ok {
-				mb.n2hArrived(slot)
-				return
-			}
-			mb.retryDMA("n2h", "n2h-desc", slot, attempt, src, mb.submitN2H)
-		},
+		OnDone: mb.n2hDMA[slot].done,
 	})
 }
 

@@ -393,7 +393,9 @@ func (rt *Runtime) boardFault(p *sim.Proc, c *cpu.Core, f *cpu.Fault) error {
 			p.Sleep(rt.Costs.NxPFaultEntry)
 			st.faultAddr = f.VA
 			c.Context().PC = st.handlerVA
-			rt.M.Env.Emit(sim.Event{Comp: c.Name(), Kind: sim.KindFault, Addr: f.VA, Aux: st.handlerVA, Note: f.Kind.String() + " → board handler"})
+			if rt.M.Env.Trace().Enabled() {
+				rt.M.Env.Emit(sim.Event{Comp: c.Name(), Kind: sim.KindFault, Addr: f.VA, Aux: st.handlerVA, Note: f.Kind.String() + " → board handler"})
+			}
 			return nil
 		}
 	}

@@ -356,7 +356,7 @@ func (k *Kernel) StartThread(name string, entry uint64, args ...uint64) (*Task, 
 		Name:  name,
 		Ctx:   ctx,
 		State: TaskRunnable,
-		wake:  k.env.NewCond(fmt.Sprintf("task%d.wake", k.nextPID)),
+		wake:  k.env.NewCond("task.wake"),
 	}
 	k.nextPID++
 	k.tasks[t.PID] = t
@@ -382,8 +382,12 @@ func (k *Kernel) TaskByPID(pid int) (*Task, bool) {
 func (k *Kernel) hostCoreLoop(p *sim.Proc, core *cpu.Core) {
 	for {
 		p.WaitFor(k.runqC, func() bool { return len(k.runq) > 0 })
+		// Shift the rest down rather than re-slice past the head, so the
+		// queue keeps its backing array and arrivals do not reallocate it.
 		t := k.runq[0]
-		k.runq = k.runq[1:]
+		n := copy(k.runq, k.runq[1:])
+		k.runq[n] = nil
+		k.runq = k.runq[:n]
 		if t.stackTop == 0 && t.State == TaskRunnable {
 			// First dispatch: give the task a host stack now (lazily, so a
 			// queued backlog holds no stack memory). Recycled stacks keep
@@ -675,11 +679,15 @@ func (k *Kernel) DeliverMSIVia(site string, pid int) {
 	// wake body never blocks, and interrupt delivery is the hottest
 	// spawn site in migration-heavy runs — a process here costs a
 	// goroutine, a channel, and a permanent procs-table entry per IRQ.
-	k.env.AfterFunc(k.costs.InterruptEntry+k.costs.IRQHandler+extra, func() {
-		if t.Wake() {
-			k.env.Emit(sim.Event{Comp: "kernel", Kind: sim.KindIRQ, Aux: uint64(pid), Note: "MSI wake"})
-		} else {
-			k.env.Emit(sim.Event{Comp: "kernel", Kind: sim.KindIRQ, Aux: uint64(pid), Note: "lost wakeup"})
+	// The wake callback is the task's own, built on its first MSI.
+	if t.msiWake == nil {
+		t.msiWake = func() {
+			if t.Wake() {
+				k.env.Emit(sim.Event{Comp: "kernel", Kind: sim.KindIRQ, Aux: uint64(t.PID), Note: "MSI wake"})
+			} else {
+				k.env.Emit(sim.Event{Comp: "kernel", Kind: sim.KindIRQ, Aux: uint64(t.PID), Note: "lost wakeup"})
+			}
 		}
-	})
+	}
+	k.env.AfterFunc(k.costs.InterruptEntry+k.costs.IRQHandler+extra, t.msiWake)
 }

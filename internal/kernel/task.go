@@ -64,6 +64,8 @@ type Task struct {
 
 	wake        *sim.Cond
 	wakePending bool
+	// msiWake is the callback an MSI's timer runs to wake the task.
+	msiWake func()
 	// stackTop is the task's host stack (0 until first dispatch: stacks
 	// are allocated lazily so a deep run-queue backlog of not-yet-started
 	// tasks costs no stack memory, and recycled on exit so open-loop

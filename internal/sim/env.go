@@ -56,6 +56,10 @@ type Env struct {
 
 	statHandoffs uint64 // goroutine switches the baton took (see EngineStats.Handoffs)
 
+	// timers is the unused tail of the chunk AfterFunc hands its Timers
+	// out of, so arming a timer allocates one chunk per timerChunk timers.
+	timers []Timer
+
 	// Conservative run-ahead (see domain.go). All zero until EnableRunAhead
 	// arms it; unarmed, the event loop consults nothing here beyond the
 	// single e.runAhead branch.
@@ -255,7 +259,9 @@ func (e *Env) next() *Proc {
 			if t := ev.timer; !t.stopped {
 				e.now = ev.at
 				t.fired = true
-				t.fn()
+				fn := t.fn
+				t.fn = nil
+				fn()
 			}
 		case ev.phantom:
 			if p := e.replayStep(ev); p != nil {
@@ -434,6 +440,11 @@ func (e *Env) drive() {
 
 // Timer is a pending AfterFunc callback. Stop cancels it; a stopped timer
 // is skipped by the event loop without advancing the virtual clock.
+//
+// Timers are carved out of chunks of timerChunk, so a chunk stays live as
+// long as any one of its timers is referenced: by the queue while pending,
+// or by whoever kept the *Timer. A timer lets go of its callback once it
+// fires or stops, so a retained chunk keeps no callback's captures alive.
 type Timer struct {
 	fn      func()
 	stopped bool
@@ -447,8 +458,12 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	t.stopped = true
+	t.fn = nil
 	return true
 }
+
+// timerChunk is how many Timers AfterFunc allocates at a time.
+const timerChunk = 64
 
 // AfterFunc schedules fn to run once, d from now, on whichever goroutine
 // holds the baton when its event comes up (fn may Signal conditions,
@@ -458,7 +473,12 @@ func (e *Env) AfterFunc(d Duration, fn func()) *Timer {
 	if d < 0 {
 		d = 0
 	}
-	t := &Timer{fn: fn}
+	if len(e.timers) == 0 {
+		e.timers = make([]Timer, timerChunk)
+	}
+	t := &e.timers[0]
+	e.timers = e.timers[1:]
+	t.fn = fn
 	e.seq++
 	e.queue.Push(event{at: e.now.Add(d), seq: e.seq, timer: t})
 	return t

@@ -210,17 +210,27 @@ func loadGraph(sys *flick.System, g *CSR) (bfsLayout, error) {
 }
 
 // storeU64s bulk-writes a u64 slice at a program VA through the NxP data
-// window's linear mapping (setup-time backdoor, untimed).
+// window's linear mapping (setup-time backdoor, untimed), encoding it a
+// page at a time so a graph array needs no staging copy of its own.
 func storeU64s(sys *flick.System, va uint64, vals []uint64) error {
-	buf := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
 	w, err := sys.Kernel.Tables().Walk(va)
 	if err != nil {
 		return err
 	}
-	return sys.Kernel.Phys().Write(w.PhysAddr, buf)
+	var buf [4096]byte
+	pa := w.PhysAddr
+	for len(vals) > 0 {
+		n := min(len(vals), len(buf)/8)
+		for i, v := range vals[:n] {
+			binary.LittleEndian.PutUint64(buf[i*8:], v)
+		}
+		if err := sys.Kernel.Phys().Write(pa, buf[:n*8]); err != nil {
+			return err
+		}
+		pa += uint64(n) * 8
+		vals = vals[n:]
+	}
+	return nil
 }
 
 // bfsKernel is the traversal, written against the timed virtual-memory

@@ -2,7 +2,9 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 )
 
 // Dataset describes one of the paper's SNAP graphs. The generator
@@ -55,6 +57,56 @@ func (g *CSR) NumEdges() int { return len(g.Targets) }
 // Degree returns the out-degree of v.
 func (g *CSR) Degree(v int) int { return int(g.Offsets[v+1] - g.Offsets[v]) }
 
+// Graph500's R-MAT partition probabilities: the chance that one recursion
+// level picks the top-left quadrant (neither bit set), top-right (the
+// destination bit), bottom-left (the source bit), the rest bottom-right.
+const rmatA, rmatB, rmatC = 0.57, 0.19, 0.19
+
+// int63Threshold returns the least x for which float64(x)/2^63 >= p: the
+// Int63 draw below which rand.Float64's value for that draw, the same
+// expression, is below p. The quotient never decreases as x grows, so a
+// binary search finds the boundary exactly.
+func int63Threshold(p float64) int64 {
+	return int64(sort.Search(math.MaxInt64, func(x int) bool { return float64(x)/(1<<63) >= p }))
+}
+
+// rmatCuts holds the R-MAT quadrant boundaries as raw Int63 draws, so
+// r := rng.Float64(); r < p holds exactly when the draw behind r is below
+// the cut for p. one is the cut for 1: a draw at or past it rounds to a
+// Float64 of 1, which Float64 redraws.
+type rmatCuts struct{ a, ab, abc, one int64 }
+
+func newRMATCuts() rmatCuts {
+	return rmatCuts{
+		a:   int63Threshold(rmatA),
+		ab:  int63Threshold(rmatA + rmatB),
+		abc: int63Threshold(rmatA + rmatB + rmatC),
+		one: int63Threshold(1),
+	}
+}
+
+// edge draws one edge of a 2^scale-vertex R-MAT graph from src, the
+// first level giving the most significant bits, and consumes exactly the
+// draws scale calls of rng.Float64 would. Each "draw is at or past a cut"
+// is the sign bit of cut-1-x, so a level's bits come out of arithmetic
+// rather than a four-way branch that mispredicts on about every other
+// draw: the source bit is set from the a+b cut on, the destination bit in
+// [a, a+b) and from a+b+c on.
+func (q rmatCuts) edge(src rand.Source, scale int) (s, d uint64) {
+	for range scale {
+		x := src.Int63()
+		for x >= q.one {
+			x = src.Int63()
+		}
+		pastA := uint64(q.a-1-x) >> 63
+		pastAB := uint64(q.ab-1-x) >> 63
+		pastABC := uint64(q.abc-1-x) >> 63
+		s = s<<1 | pastAB
+		d = d<<1 | pastA ^ pastAB ^ pastABC
+	}
+	return s, d
+}
+
 // GenerateRMAT synthesizes a directed graph with the R-MAT/Kronecker
 // recursive partition probabilities used by Graph500 (a=0.57, b=0.19,
 // c=0.19), producing the heavy-tailed degree distribution of social
@@ -63,13 +115,14 @@ func (g *CSR) Degree(v int) int { return int(g.Offsets[v+1] - g.Offsets[v]) }
 // gets at least one incoming edge from a lower-numbered vertex).
 //
 // The generator owns its RNG: all randomness flows from the seed argument
-// through a locally-constructed rand.Rand, never package-global state, so
+// through a locally-constructed rand.Source, never package-global state, so
 // concurrent generation on scheduler workers is safe and a given
 // (Dataset, seed) pair always yields the same graph. Callers running
 // several generations in one sweep should hand each a seed derived via
 // runner.DeriveSeed so the streams are independent.
 func GenerateRMAT(d Dataset, seed int64) *CSR {
-	rng := rand.New(rand.NewSource(seed))
+	src := rand.NewSource(seed)
+	rng := rand.New(src)
 	v := d.Vertices
 	// scale = ceil(log2(v))
 	scale := 0
@@ -84,31 +137,16 @@ func GenerateRMAT(d Dataset, seed int64) *CSR {
 	// earlier vertex, so BFS from 0 reaches everything. These count
 	// toward the edge budget.
 	for i := 1; i < v; i++ {
-		src := rng.Intn(i)
-		edges = append(edges, edge{uint32(src), uint32(i)})
+		edges = append(edges, edge{uint32(rng.Intn(i)), uint32(i)})
 	}
 
-	const a, b, c = 0.57, 0.19, 0.19
+	// The recursive edges continue the same stream: rng draws from src,
+	// so drawing from src directly consumes it in the order rng.Float64
+	// would.
+	cuts := newRMATCuts()
 	for len(edges) < d.Edges {
-		var src, dst int
-		for bit := scale - 1; bit >= 0; bit-- {
-			r := rng.Float64()
-			switch {
-			case r < a:
-				// top-left: neither bit set
-			case r < a+b:
-				dst |= 1 << bit
-			case r < a+b+c:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
-		}
-		src %= v
-		dst %= v
-		edges = append(edges, edge{uint32(src), uint32(dst)})
-		src, dst = 0, 0
+		s, t := cuts.edge(src, scale)
+		edges = append(edges, edge{uint32(s % uint64(v)), uint32(t % uint64(v))})
 	}
 
 	// Build CSR with counting sort by source.
