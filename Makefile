@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check lint-isa fmt-check perfbench-smoke bench bench-hotloop bench-check profile cover fuzz matrix clean
+.PHONY: all build vet test race race-lifecycle check lint-isa fmt-check perfbench-smoke bench bench-hotloop bench-check profile cover fuzz matrix clean
 
 all: check
 
@@ -23,7 +23,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-check: build vet fmt-check lint-isa perfbench-smoke race matrix
+# The engine's lifecycle under -race at one and four Ps, repeated: a
+# process's coroutine and Run's goroutine both touch the Env, so the
+# start, handoff, panic, deadlock and Close paths run many times over,
+# where one -race pass could miss an unordered access.
+race-lifecycle:
+	$(GO) test -race -count=10 -cpu 1,4 -run 'Close|Panic|Handoffs|ParallelEnvs|RunUntil|Deadlock|Daemon' ./internal/sim
+	$(GO) test -race -count=3 -cpu 1,4 -run 'TestCloseEndsDeadlockedMachine|TestDeadlockErrorNamesStuckTasks|TestRoundTripAllocs' .
+
+check: build vet fmt-check lint-isa perfbench-smoke race race-lifecycle matrix
 
 # perfbench's own tests (its module, perfbench/go.mod): they build the
 # benchmark against this tree and run every workload briefly, checking

@@ -18,8 +18,10 @@
 package flick
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"flick/internal/asm"
 	"flick/internal/core"
@@ -155,14 +157,16 @@ func (s *System) Start(fn string, args ...uint64) (*kernel.Task, error) {
 
 // Run drives the simulation until all queued work completes and returns
 // the final virtual time. It surfaces deadlocks (which indicate protocol
-// bugs or the §IV-D race) as errors.
+// bugs or the §IV-D race) as errors that name each blocked process with
+// the condition it waits on, and each unfinished task.
 func (s *System) Run() (sim.Time, error) {
 	end := s.Machine.Env.Run()
 	if stuck := s.Machine.Env.Deadlocked(); len(stuck) > 0 {
+		msg := "flick: simulation deadlocked with blocked processes: " + strings.Join(stuck, ", ")
 		if tasks := s.Kernel.StuckTasks(); len(tasks) > 0 {
-			return end, fmt.Errorf("flick: simulation deadlocked with blocked processes: %v; stuck tasks: %v", stuck, tasks)
+			msg += "; stuck tasks: " + strings.Join(tasks, ", ")
 		}
-		return end, fmt.Errorf("flick: simulation deadlocked with blocked processes: %v", stuck)
+		return end, errors.New(msg)
 	}
 	return end, nil
 }

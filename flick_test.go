@@ -192,13 +192,14 @@ func lostWakeupMachine() *flick.System {
 
 func TestDeadlockErrorNamesStuckTasks(t *testing.T) {
 	// A program that loses its migration wakeup must surface through the
-	// public API as a Deadlocked error that names the stuck task, not as a
-	// silent hang or an anonymous process list.
+	// public API as a Deadlocked error that names the stuck task and the
+	// condition its core waits on, not as a silent hang or an anonymous
+	// process list.
 	_, err := lostWakeupMachine().RunProgram("main")
 	if err == nil {
 		t.Fatal("lost-wakeup run returned no error")
 	}
-	for _, want := range []string{"deadlocked", "main", "pid 1", "suspended"} {
+	for _, want := range []string{"deadlocked", "main", "pid 1", "suspended", "on task.wake"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("err = %v, want it to mention %q", err, want)
 		}

@@ -47,6 +47,9 @@ type SysHandler func(p *sim.Proc, c *Core, num int64) error
 // FaultHandler receives faults. Returning nil means the fault was handled
 // and execution continues (typically with a redirected PC — this is how
 // Flick hijacks the faulting call). Returning an error kills the thread.
+// The fault is valid only during the call: the core reuses it for its
+// next NX fetch fault, so a handler must not keep f or wrap it in its
+// error; it may return f itself, which Step copies before it escapes.
 type FaultHandler func(p *sim.Proc, c *Core, f *Fault) error
 
 // Config assembles a core.
@@ -107,6 +110,11 @@ type Core struct {
 	// fetchBuf backs the residual slow fetch path so fetchBytes allocates
 	// nothing; 16 bytes covers every codec's MaxLen.
 	fetchBuf [16]byte
+
+	// nxFault is the NX fetch fault that starts every migration, handed to
+	// the fault handler in place so the trigger allocates nothing. Step
+	// copies it only when it escapes as an error.
+	nxFault Fault
 
 	instret uint64
 	cycles  uint64
@@ -264,11 +272,11 @@ func (c *Core) fetch(p *sim.Proc) (uint64, *Fault) {
 	if c.cfg.ISATag != 0 {
 		if r.Flags.ISATag != c.cfg.ISATag {
 			// Another ISA's page, or untagged data: migration trigger.
-			return 0, &Fault{Kind: FaultFetchNX, ISA: c.cfg.ISA, VA: pc, PC: pc}
+			return 0, c.fetchNX(pc)
 		}
 	} else if r.Flags.NX != c.cfg.ExecNX {
 		// The other ISA's page (or plain data): Flick's migration trigger.
-		return 0, &Fault{Kind: FaultFetchNX, ISA: c.cfg.ISA, VA: pc, PC: pc}
+		return 0, c.fetchNX(pc)
 	}
 	// Instruction cache: pay the fill cost once per line.
 	if c.icache != nil {
@@ -280,6 +288,12 @@ func (c *Core) fetch(p *sim.Proc) (uint64, *Fault) {
 		p.Sleep(c.cfg.FetchCost(r.Phys))
 	}
 	return r.Phys, nil
+}
+
+// fetchNX fills in the core's NX fetch fault at pc.
+func (c *Core) fetchNX(pc uint64) *Fault {
+	c.nxFault = Fault{Kind: FaultFetchNX, ISA: c.cfg.ISA, VA: pc, PC: pc}
+	return &c.nxFault
 }
 
 // fetchBytes reads up to MaxLen instruction bytes at the PC, following the
@@ -383,10 +397,13 @@ func (c *Core) Step(p *sim.Proc) error {
 	p.Sync() // fault handlers reach the kernel and emit trace events
 	c.faults++
 	if c.cfg.Fault != nil {
-		if err := c.cfg.Fault(p, c, f); err != nil {
-			return err
+		if err := c.cfg.Fault(p, c, f); err != error(f) {
+			return err // nil when handled; PC presumably redirected
 		}
-		return nil // handled; PC presumably redirected
+	}
+	if f == &c.nxFault {
+		escaped := c.nxFault // the core reuses its own for the next NX fault
+		f = &escaped
 	}
 	return f
 }

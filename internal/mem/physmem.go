@@ -35,7 +35,10 @@ func (k Kind) String() string {
 // Device is the handler interface for MMIO regions. Offsets are relative to
 // the region base. Devices see word-sized accesses as byte slices, each a
 // private copy of the bytes the bus carries (never the caller's buffer);
-// register devices typically decode 4- or 8-byte accesses.
+// register devices typically decode 4- or 8-byte accesses. The slice is
+// valid only during the call: the address space reuses it for its next
+// access of up to 8 bytes, so a device must not keep it, and must not
+// access the same address space from inside the call.
 type Device interface {
 	MMIORead(off uint64, buf []byte) error
 	MMIOWrite(off uint64, buf []byte) error
@@ -96,6 +99,10 @@ type AddressSpace struct {
 	// search. Mappings are only ever added and never overlap, so a hit
 	// on it is the search's answer too; Map resets it.
 	last mapping
+
+	// mmioBuf is the private copy a Device sees for an access of up to 8
+	// bytes, so a register access allocates nothing.
+	mmioBuf [8]byte
 }
 
 // NewAddressSpace creates an empty view.
@@ -192,7 +199,7 @@ func (as *AddressSpace) Read(addr uint64, buf []byte) error {
 	if r.Kind == MMIO {
 		// A device gets a private copy: handing it buf would make every
 		// caller's buffer escape to the heap, the MMIO-free loads included.
-		b := make([]byte, len(buf))
+		b := as.mmioCopy(len(buf))
 		if err := r.dev.MMIORead(off, b); err != nil {
 			return err
 		}
@@ -214,12 +221,25 @@ func (as *AddressSpace) Write(addr uint64, buf []byte) error {
 	}
 	switch r.Kind {
 	case MMIO:
-		return r.dev.MMIOWrite(off, append([]byte(nil), buf...)) // private copy, as in Read
+		b := as.mmioCopy(len(buf)) // a private copy, as in Read
+		copy(b, buf)
+		return r.dev.MMIOWrite(off, b)
 	case ROM:
 		return &FaultError{Addr: addr, Space: as.Name, Reason: "write to ROM"}
 	}
 	r.store.WriteAt(off, buf)
 	return nil
+}
+
+// mmioCopy returns a zeroed n-byte private copy for a Device: the address
+// space's own buffer up to 8 bytes, a fresh slice beyond.
+func (as *AddressSpace) mmioCopy(n int) []byte {
+	if n <= len(as.mmioBuf) {
+		b := as.mmioBuf[:n]
+		clear(b)
+		return b
+	}
+	return make([]byte, n)
 }
 
 // View returns a slice aliasing [addr, addr+n) for RAM/ROM-backed

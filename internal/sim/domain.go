@@ -8,7 +8,7 @@ package sim
 // compute at the same virtual time it also means every board
 // instruction's sleep finds another board's event queued ahead of it, so
 // the in-place Sleep fast path never applies and each sleep pays a queue
-// push and pop and a goroutine switch to the next board's process.
+// push and pop and a handoff to the next board's process.
 //
 // Run-ahead lets a board compute window advance on a private clock
 // without giving up the determinism contract, using the classic
@@ -34,7 +34,7 @@ package sim
 //   - When the event loop pops a runnable tagged process, it may open a
 //     window for it (openWindow): the process gets a private clock (pNow)
 //     and a horizon from one scan of the queue, and runs ahead alone, on
-//     its own goroutine, which holds the baton like any resumed process.
+//     its own coroutine, which holds the baton like any resumed process.
 //     The popped entry goes straight back into the queue as the process's
 //     phantom replay cursor: original time, original sequence number.
 //   - In the window the process advances its private clock through Sleep
@@ -51,7 +51,7 @@ package sim
 //     recorded sleep either takes the in-place fast path (when it would
 //     have sequentially) or is scheduled with a freshly drawn sequence
 //     number (ditto), and only when the trajectory is exhausted does the
-//     goroutine actually resume at its end. The replay therefore
+//     process actually resume at its end. The replay therefore
 //     reproduces, event for event and sequence number for sequence number,
 //     exactly the queue interaction the sequential engine would have
 //     performed — including the order in which same-instant ties resolve.
@@ -74,7 +74,7 @@ package sim
 // A pending phantom counts at the end of its recorded trajectory, not at
 // its cursor. Between the two its replay only pushes and pops queue
 // entries; the process behind it runs no code before the trajectory's
-// last target, where its goroutine resumes. That is sound for the same
+// last target, where it resumes. That is sound for the same
 // reason the +L slack is: the bound limits how far this window may run
 // ahead of code that can affect its domain, and a phantom's next code
 // runs at its trajectory end, with the tag and bar it had when its own
@@ -109,8 +109,7 @@ package sim
 // engine's memory stays flat for the process's life.
 
 // EngineStats reports the event engine's bookkeeping: the run-ahead
-// engine's window counts and, on either engine, the baton's goroutine
-// handoffs. These are plain fields, deliberately NOT registry metrics: the
+// engine's window counts and, on either engine, the baton's handoffs. These are plain fields, deliberately NOT registry metrics: the
 // metrics snapshot is part of the byte-identical artifact contract, and
 // registering engine counters (even zero-valued ones — the registry prints
 // every registered name) would make a fast run's metrics differ from a
@@ -124,10 +123,10 @@ type EngineStats struct {
 	HorizonWaits uint64   // windows ended by a sleep past the horizon or one filling the trajectory
 	ParkedEmits  uint64   // windows ended to emit a trace event
 
-	// Handoffs counts the goroutine switches the baton took: a process
-	// started or resumed by another goroutine, window entries included, or
-	// the baton returned to Run's goroutine. A process that resumes itself
-	// costs none.
+	// Handoffs counts the baton's handoffs. Each is a coroutine
+	// resumption, a process started or resumed from Run's goroutine
+	// (window entries included), or the baton returned to Run's goroutine.
+	// A process that resumes itself costs none.
 	Handoffs uint64
 }
 
@@ -300,7 +299,7 @@ func (e *Env) windowHorizon(d int) Time {
 	return min(bound-1, e.horizon)
 }
 
-// endWindow ends the process's window from its own goroutine and cedes.
+// endWindow ends the process's window from its own coroutine and cedes.
 // It returns once the replay has run the trajectory out, with the process
 // running sequentially and the shared clock at the trajectory's end (the
 // window's start if it recorded nothing).

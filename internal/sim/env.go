@@ -2,9 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"os"
-	"runtime"
 	"sort"
 )
 
@@ -22,21 +22,23 @@ func FastPathsDisabled() bool { return os.Getenv("FLICKSIM_NOPREDECODE") != "" }
 // related primitives. Run drives the simulation until no runnable work
 // remains or a stop condition fires.
 //
-// Exactly one goroutine holds the baton at a time: Run's goroutine or one
-// process's. A process that cedes control (a Sleep that must queue, a
-// Wait, or its body returning) runs the event loop on its own goroutine:
-// it fires due timers and advances phantom replays inline, then resumes
-// the next process directly, one goroutine switch, or keeps running with
-// no switch when the next resumption is its own. A board process the loop
-// pops may run ahead in a window (domain.go), still as the one goroutine
-// holding the baton. The baton goes back to Run's goroutine only for the
-// RunUntil deadline, an empty queue, or a panic to re-raise. The queue
-// alone orders events, so the simulation is fully deterministic despite
-// being built from goroutines.
+// Each process body runs as a coroutine (iter.Pull), and exactly one
+// holds the baton at a time: Run's goroutine or one process's coroutine.
+// A process that cedes control (a Sleep that must queue, a Wait, or its
+// body returning) runs the event loop on its own coroutine: it fires due
+// timers and advances phantom replays inline, then keeps running with no
+// switch when the next resumption is its own. Otherwise it leaves the
+// next process on the Env and yields to Run's goroutine, which resumes
+// it. A coroutine switch passes straight from one goroutine to another
+// without the Go scheduler, so those two switches cost less than one
+// channel handoff. A board process the loop pops may run ahead in a
+// window (domain.go), still as the one coroutine holding the baton. The
+// queue alone orders events, so the simulation is fully deterministic
+// despite being built from goroutines.
 //
-// Run leaves the goroutine of every process that has not finished parked
-// on its resume channel, and a parked goroutine keeps the whole machine
-// reachable. Close ends them once the caller is done with the Env.
+// Run leaves the coroutine of every process that has not finished parked
+// in its yield, and a parked coroutine keeps the whole machine reachable.
+// Close ends them once the caller is done with the Env.
 type Env struct {
 	now   Time
 	seq   uint64
@@ -51,10 +53,11 @@ type Env struct {
 
 	trace   *Trace
 	metrics *Metrics
-	yield   chan any // returns the baton to Run's goroutine, carrying a panic to re-raise or nil
-	closed  bool     // Close has run: a ceding process ends its goroutine instead
+	handoff *Proc // the process a yielding coroutine leaves the baton to; nil for Run's goroutine
+	panicV  any   // a panic a process or timer raised, for drive or Close to re-raise
+	closed  bool  // Close has run: a ceding process unwinds instead
 
-	statHandoffs uint64 // goroutine switches the baton took (see EngineStats.Handoffs)
+	statHandoffs uint64 // resumptions and returns to Run (see EngineStats.Handoffs)
 
 	// timers is the unused tail of the chunk AfterFunc hands its Timers
 	// out of, so arming a timer allocates one chunk per timerChunk timers.
@@ -83,7 +86,6 @@ func NewEnv() *Env {
 	return &Env{
 		trace:   NewTrace(0),
 		metrics: NewMetrics(),
-		yield:   make(chan any),
 		horizon: maxTime,
 		noFast:  FastPathsDisabled(),
 	}
@@ -129,7 +131,7 @@ func (e *Env) Report() Report {
 // timer is non-nil. A phantom event is the replay cursor of a process's
 // run-ahead window, queued when the window opens (see domain.go):
 // dispatching it replays the window's recorded sleep trajectory through
-// the queue instead of resuming the goroutine.
+// the queue instead of resuming the process.
 type event struct {
 	at      Time
 	seq     uint64
@@ -149,16 +151,22 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
+// Proc is a simulated process: a coroutine whose execution is interleaved
 // deterministically with all other processes in the same Env. All methods
 // must be called from within the process's own body function.
 type Proc struct {
 	env    *Env
 	name   string
 	state  procState
-	resume chan struct{}
-	body   func(*Proc)
+	body   func(*Proc) // until the first resumption starts the coroutine
 	daemon bool
+
+	// The process's coroutine, made by iter.Pull on its first resumption.
+	// Only drive and Close, outside every coroutine, call next and stop;
+	// only the coroutine itself calls yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// waitOn is the condition this process is blocked on, if any.
 	waitOn *Cond
@@ -201,16 +209,15 @@ func (p *Proc) Now() Time {
 }
 
 // Spawn registers a new process that starts at the current virtual time.
-// The body runs on its own goroutine but only while that goroutine holds
+// The body runs as its own coroutine but only while that coroutine holds
 // the baton. Spawn may be called before Run or from inside a running
 // process.
 func (e *Env) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{
-		env:    e,
-		name:   name,
-		state:  stateNew,
-		resume: make(chan struct{}),
-		body:   body,
+		env:   e,
+		name:  name,
+		state: stateNew,
+		body:  body,
 	}
 	e.procs = append(e.procs, p)
 	e.schedule(p, e.now)
@@ -282,45 +289,44 @@ func (e *Env) next() *Proc {
 	}
 }
 
-// resume hands the baton to p, starting its goroutine on its first
-// resumption.
+// resume runs p's coroutine until it yields the baton back, creating the
+// coroutine on p's first resumption. Only drive, on Run's goroutine, calls
+// it.
 func (e *Env) resume(p *Proc) {
 	e.statHandoffs++
-	if p.body == nil {
-		p.resume <- struct{}{}
-		return
+	if p.next == nil {
+		body := p.body
+		p.body = nil
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer p.exit()
+			body(p)
+		})
 	}
-	body := p.body
-	p.body = nil
-	go func() {
-		defer p.exit()
-		body(p)
-	}()
+	p.next()
 }
 
-// pass hands the baton on from the goroutine of self, a process that has
+// pass hands the baton on from the coroutine of self, a process that has
 // just queued itself, blocked, or (self == nil) finished. It runs the
-// event loop here and resumes the next process directly, or returns the
-// baton to Run's goroutine, carrying any panic a timer callback raised.
-// It reports whether the next process is self, which then keeps running
-// with no goroutine switch; otherwise a live self must wait on its resume
-// channel.
+// event loop here and reports whether the next process is self, which
+// then keeps running with no switch. Otherwise it leaves the next process
+// on the Env for drive to resume, or nil and any panic a timer callback
+// raised to return the baton to Run's goroutine, and the caller yields.
 func (e *Env) pass(self *Proc) bool {
 	next, v := e.nextContained()
 	switch {
 	case next == nil:
 		e.statHandoffs++
-		e.yield <- v
+		e.panicV = v
 	case next == self:
 		return true
-	default:
-		e.resume(next)
 	}
+	e.handoff = next
 	return false
 }
 
 // nextContained is next with a panic recovered, so a timer callback that
-// panics on a process goroutine surfaces from Run: never inside the
+// panics on a process coroutine surfaces from Run: never inside the
 // process's body, which might recover it, and never, once the body has
 // returned and exit is already running, as a crash of the whole program.
 func (e *Env) nextContained() (next *Proc, panicV any) {
@@ -332,17 +338,23 @@ func (e *Env) nextContained() (next *Proc, panicV any) {
 	return e.next(), nil
 }
 
-// exit, deferred by every process goroutine, retires the process when its
+// stopped is the sentinel a process stopped by Close unwinds with.
+type stopped struct{}
+
+// exit, deferred by every process coroutine, retires the process when its
 // body returns or panics and passes the baton on. A panic goes straight
 // back to Run's goroutine to be re-raised. A body that returns inside its
 // run-ahead window retires through the replay instead, so its last sleeps
 // still consume the sequence numbers they would have sequentially. A
-// process Close stopped only acknowledges, leaving the baton with Close.
+// process Close stopped only leaves a real panic from its deferred calls
+// for Close to re-raise.
 func (p *Proc) exit() {
 	r := recover()
 	e := p.env
 	if e.closed {
-		e.yield <- r
+		if _, ok := r.(stopped); !ok {
+			e.panicV = r
+		}
 		return
 	}
 	if p.inWindow && r == nil {
@@ -355,32 +367,35 @@ func (p *Proc) exit() {
 	p.state = stateDone
 	if r != nil {
 		e.statHandoffs++
-		e.yield <- r
+		e.handoff, e.panicV = nil, r
 		return
 	}
 	e.pass(nil)
 }
 
 // cede passes the baton on from the running process and returns once the
-// process is resumed. On a closed Env it ends the goroutine instead: the
-// resumption was Close's stop signal, or the caller is a deferred call of
-// a stopped process, which must not run the event loop.
+// process is resumed. A process Close stopped finds its yield returning
+// false and unwinds with the stopped sentinel; on a closed Env a deferred
+// call that would cede again finds yield returning false at once, so it
+// never runs the event loop.
 func (p *Proc) cede() {
-	if !p.env.closed && !p.env.pass(p) {
-		<-p.resume
+	if !p.env.closed && p.env.pass(p) {
+		return
 	}
-	if p.env.closed {
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
 	}
 }
 
-// Close ends the goroutine of every process still parked after Run or
+// Close ends the coroutine of every process still parked after Run or
 // RunUntil returned, so a machine nobody references any more becomes
-// garbage. Each goroutine is resumed in turn with the stop signal and
-// unwinds through runtime.Goexit; its deferred calls run, and any of them
-// that would sleep, wait or otherwise cede ends the goroutine there, so
-// none advances the clock, runs the event loop or resumes another
-// process. A process that never started has no goroutine to end.
+// garbage. It stops each coroutine in turn: the pending yield returns
+// false, and the process unwinds with a private sentinel panic that exit
+// recovers. Its deferred calls run, and any of them that would sleep,
+// wait or otherwise cede unwinds there with the sentinel again, so none
+// advances the clock, runs the event loop or resumes another process. A
+// real panic from a deferred call is re-raised here. A process that never
+// started has no coroutine to end.
 //
 // Read everything the run produced (Report, Deadlocked, the model's own
 // state) before Close: the deferred calls may still touch it. Close must
@@ -393,11 +408,12 @@ func (e *Env) Close() {
 	e.closed = true
 	e.horizon = -1 // no deferred Sleep can advance the clock in place
 	for _, p := range e.procs {
-		if p.body != nil || p.state == stateDone || p.doneInWindow {
-			continue // no goroutine, or one that has already ended
+		if p.stop == nil {
+			continue // never started
 		}
-		p.resume <- struct{}{}
-		if v := <-e.yield; v != nil {
+		p.stop() // a no-op for a coroutine that has already ended
+		if v := e.panicV; v != nil {
+			e.panicV = nil
 			panic(v)
 		}
 	}
@@ -424,15 +440,17 @@ func (e *Env) RunUntil(deadline Time) Time {
 	return e.now
 }
 
-// drive is Run's goroutine's side of the baton: it resumes the next
-// process and waits for the baton to come back.
+// drive is Run's goroutine's side of the baton: it resumes each process a
+// yielding coroutine leaves on the Env, re-raising any panic it brings
+// back, until one returns the baton to Run.
 func (e *Env) drive() {
 	if e.closed {
 		panic("sim: Run on a closed Env")
 	}
-	for p := e.next(); p != nil; p = e.next() {
+	for p := e.next(); p != nil; p = e.handoff {
 		e.resume(p)
-		if v := <-e.yield; v != nil {
+		if v := e.panicV; v != nil {
+			e.panicV = nil
 			panic(v)
 		}
 	}
@@ -484,13 +502,14 @@ func (e *Env) AfterFunc(d Duration, fn func()) *Timer {
 	return t
 }
 
-// Deadlocked reports the names of processes that are still blocked after
-// Run returned. An empty result means every process ran to completion.
+// Deadlocked reports the processes that are still blocked after Run
+// returned, each as "<proc> on <cond>", sorted. An empty result means
+// every process ran to completion.
 func (e *Env) Deadlocked() []string {
 	var stuck []string
 	for _, p := range e.procs {
 		if p.state == stateBlocked && !p.daemon {
-			stuck = append(stuck, p.name)
+			stuck = append(stuck, p.name+" on "+p.waitOn.name)
 		}
 	}
 	sort.Strings(stuck)

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -188,17 +189,21 @@ func TestDeadlockDetection(t *testing.T) {
 	env.Spawn("stuck", func(p *Proc) { p.Wait(c) })
 	env.Run()
 	stuck := env.Deadlocked()
-	if len(stuck) != 1 || stuck[0] != "stuck" {
-		t.Errorf("Deadlocked = %v, want [stuck]", stuck)
+	if len(stuck) != 1 || stuck[0] != "stuck on never" {
+		t.Errorf("Deadlocked = %v, want [stuck on never]", stuck)
 	}
 }
 
-// Close ends the goroutine of every process Run left parked (blocked on a
+// Close ends the coroutine of every process Run left parked (blocked on a
 // condition, idling as a daemon, asleep past a RunUntil deadline), runs
-// their deferred calls without letting a deferred Sleep move the clock,
-// and leaves a process that never started alone. Deadlocked's report is
-// read first; Close is idempotent, and Run afterwards panics.
+// their deferred calls without letting a deferred Sleep or Wait run the
+// event loop or move the clock, even two in a row, and leaves a process
+// that never started alone. Deadlocked's report is read first; Close is
+// idempotent, and Run afterwards panics. The parked processes are counted
+// by their stacks, not by runtime.NumGoroutine, which an earlier test's
+// goroutines still exiting would skew.
 func TestCloseEndsParkedGoroutines(t *testing.T) {
+	const bodies = "sim.TestCloseEndsParkedGoroutines.func"
 	start := runtime.NumGoroutine()
 	env := NewEnv()
 	c := env.NewCond("never")
@@ -216,21 +221,31 @@ func TestCloseEndsParkedGoroutines(t *testing.T) {
 		defer func() { deferred = append(deferred, "sleeper") }()
 		p.Sleep(100 * Microsecond)
 	})
+	env.Spawn("twice", func(p *Proc) {
+		defer func() { deferred = append(deferred, "twice") }()
+		defer p.Wait(c)
+		defer p.Sleep(Microsecond)
+		p.Wait(c)
+	})
 	end := env.RunUntil(Time(10 * Microsecond))
 	env.Spawn("unstarted", func(*Proc) { t.Error("a process spawned after the run started") })
-	if stuck := env.Deadlocked(); !slices.Equal(stuck, []string{"stuck"}) {
-		t.Errorf("Deadlocked = %v, want [stuck]", stuck)
+	if stuck, want := env.Deadlocked(), []string{"stuck on never", "twice on never"}; !slices.Equal(stuck, want) {
+		t.Errorf("Deadlocked = %v, want %v", stuck, want)
 	}
-	if n := runtime.NumGoroutine(); n < start+3 {
-		t.Fatalf("%d goroutines after the run, want at least %d parked", n, start+3)
+	if n := goroutinesIn(bodies); n != 4 {
+		t.Fatalf("%d process goroutines parked after the run, want 4", n)
 	}
+	handoffs := env.EngineStats().Handoffs
 	env.Close()
 	env.Close()
-	if want := []string{"stuck", "daemon", "sleeper"}; !slices.Equal(deferred, want) {
+	if want := []string{"stuck", "daemon", "sleeper", "twice"}; !slices.Equal(deferred, want) {
 		t.Errorf("deferred calls ran for %v, want %v", deferred, want)
 	}
 	if env.Now() != end {
 		t.Errorf("Close moved the clock from %v to %v", end, env.Now())
+	}
+	if h := env.EngineStats().Handoffs; h != handoffs {
+		t.Errorf("Close made %d handoffs; a deferred call must not run the event loop", h-handoffs)
 	}
 	n := runtime.NumGoroutine()
 	for deadline := time.Now().Add(time.Second); n > start && time.Now().Before(deadline); n = runtime.NumGoroutine() {
@@ -239,12 +254,51 @@ func TestCloseEndsParkedGoroutines(t *testing.T) {
 	if n > start {
 		t.Errorf("%d goroutines after Close, %d before the run", n, start)
 	}
+	if n := goroutinesIn(bodies); n != 0 {
+		t.Errorf("%d process goroutines left after Close, want 0", n)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Run on a closed Env did not panic")
 		}
 	}()
 	env.Run()
+}
+
+// goroutinesIn counts the goroutines whose stack runs through a function
+// whose name contains fn.
+func goroutinesIn(fn string) int {
+	buf := make([]byte, 64<<10)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, fn) {
+			count++
+		}
+	}
+	return count
+}
+
+// Close re-raises a real panic from a deferred call of a process it
+// stopped, as Run re-raises one from a process body.
+func TestCloseReraisesDeferredPanic(t *testing.T) {
+	env := NewEnv()
+	c := env.NewCond("never")
+	env.Spawn("p", func(p *Proc) {
+		defer func() { panic("deferred boom") }()
+		p.Wait(c)
+	})
+	env.Run()
+	defer func() {
+		if r := recover(); r != "deferred boom" {
+			t.Errorf("Close panicked with %v, want deferred boom", r)
+		}
+	}()
+	env.Close()
 }
 
 func TestRunUntil(t *testing.T) {
@@ -339,9 +393,10 @@ func TestTimerPanicWhilePassingBaton(t *testing.T) {
 	}
 }
 
-// Each queued sleep costs one goroutine handoff, not two: the sleeping
-// process resumes the next one directly. A process that is itself the next
-// resumption costs none.
+// Each queued sleep costs one handoff, the next process's resumption: the
+// sleeping process runs the event loop itself and leaves that process for
+// Run's goroutine to resume. A process that is itself the next resumption
+// costs none.
 func TestHandoffsPerResumption(t *testing.T) {
 	const n = 100
 	env := NewEnv()

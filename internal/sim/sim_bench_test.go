@@ -8,8 +8,9 @@ import (
 // BenchmarkProcessSwitch measures one queued sleep and the handoff to the
 // next process — the unit cost of every event the in-place Sleep fast path
 // cannot absorb. Two processes sleep in lockstep, so each sleep finds the
-// other process queued at an earlier or equal time and must park; the
-// sleeping process resumes the other directly, one goroutine switch.
+// other process queued at an earlier or equal time and must park; each
+// handoff is one coroutine resumption, the sleeping process yielding to
+// Run's goroutine and Run's goroutine resuming the other.
 func BenchmarkProcessSwitch(b *testing.B) {
 	env := NewEnv()
 	ping := func(n int) func(*Proc) {
@@ -31,7 +32,7 @@ func BenchmarkProcessSwitch(b *testing.B) {
 	// One handoff per sleep, plus Run starting ping, the first exit
 	// resuming the other process and the second returning to Run.
 	if got := env.EngineStats().Handoffs; got > uint64(b.N)+3 {
-		b.Fatalf("%d sleeps took %d goroutine handoffs; each must cost one", b.N, got)
+		b.Fatalf("%d sleeps took %d handoffs; each must cost one", b.N, got)
 	}
 }
 

@@ -161,7 +161,7 @@ func TestSetDaemonTogglesDeadlockVisibility(t *testing.T) {
 	})
 	env.Run()
 	names := env.Deadlocked()
-	if len(names) != 1 || names[0] != "svc" {
-		t.Fatalf("Deadlocked() = %v, want [svc] after SetDaemon(false)", names)
+	if len(names) != 1 || names[0] != "svc on never" {
+		t.Fatalf("Deadlocked() = %v, want [svc on never] after SetDaemon(false)", names)
 	}
 }
