@@ -29,7 +29,7 @@ race:
 # where one -race pass could miss an unordered access.
 race-lifecycle:
 	$(GO) test -race -count=10 -cpu 1,4 -run 'Close|Panic|Handoffs|ParallelEnvs|RunUntil|Deadlock|Daemon' ./internal/sim
-	$(GO) test -race -count=3 -cpu 1,4 -run 'TestCloseEndsDeadlockedMachine|TestDeadlockErrorNamesStuckTasks|TestRoundTripAllocs' .
+	$(GO) test -race -count=3 -cpu 1,4 -run 'TestCloseEndsDeadlockedMachine|TestDeadlockErrorNamesStuckTasks|TestRoundTripAllocs|TestRoundTripHandoffs' .
 
 check: build vet fmt-check lint-isa perfbench-smoke race race-lifecycle matrix
 
@@ -79,14 +79,15 @@ matrix:
 # The hot-loop record: end-to-end scale-out throughput, the interpreter's
 # steady-state step, the translate hit path, one virtual data access on a
 # huge page, the event engine's three unit costs (a process handoff, a
-# timer wake, and a queue pop and push at a constant occupancy), one Flick
-# round trip in each direction, and Table IV's largest Quick-scale graph
-# draw. Each benchmark runs five times; cmd/benchcheck gates the median,
-# because single runs of the engine's unit costs swing past the 15% gate
-# on an unchanged tree.
+# timer wake, and a queue pop and push at a constant occupancy), one DMA
+# descriptor transfer awaited by a process, one Flick round trip in each
+# direction, and Table IV's largest Quick-scale graph draw. Each
+# benchmark runs five times; cmd/benchcheck gates the median, because
+# single runs of the engine's unit costs swing past the 15% gate on an
+# unchanged tree.
 HOTLOOP_BENCH = $(GO) test -run '^$$' -count 5 -benchmem -json \
-	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkVirtAccess|BenchmarkProcessSwitch|BenchmarkTimerWake|BenchmarkQueueHold|BenchmarkFlickRoundTrip|BenchmarkGenerateRMAT' \
-	./internal/cpu ./internal/mmu ./internal/sim ./internal/workloads .
+	-bench 'BenchmarkScaleOutThroughput$$|BenchmarkCoreStep|BenchmarkTranslateHit|BenchmarkVirtAccess|BenchmarkProcessSwitch|BenchmarkTimerWake|BenchmarkQueueHold|BenchmarkDMADescriptor|BenchmarkFlickRoundTrip|BenchmarkGenerateRMAT' \
+	./internal/cpu ./internal/mmu ./internal/sim ./internal/pcie ./internal/workloads .
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -346,9 +346,10 @@ func (mb *Mailbox) retryDMA(dir, tag string, slot int, st *dmaSlot, descPA uint6
 		backoff := dmaRetryBackoff << uint(attempt)
 		st.attempt++
 		mb.env.Emit(sim.Event{Comp: mb.comp, Kind: sim.KindMailbox, Aux: uint64(slot), Note: tag + " retry"})
-		mb.env.SpawnDaemon(fmt.Sprintf("%s-retry-%s-%d-%d", mb.comp, tag, slot, attempt), func(p *sim.Proc) {
-			p.Sleep(backoff)
-			resubmit(slot)
+		// The backoff is armed from a zero-delay timer, not from here, so
+		// that it takes its turn after the events already queued for now.
+		mb.env.AfterFunc(0, func() {
+			mb.env.AfterFunc(backoff, func() { resubmit(slot) })
 		})
 		return
 	}

@@ -42,7 +42,7 @@ func TestLinkBandwidthApproximation(t *testing.T) {
 	}
 }
 
-func newTestSpaces(t *testing.T) (host, nxp *mem.AddressSpace, hostRAM, nxpRAM *mem.Region) {
+func newTestSpaces(t testing.TB) (host, nxp *mem.AddressSpace, hostRAM, nxpRAM *mem.Region) {
 	t.Helper()
 	host = mem.NewAddressSpace("host")
 	nxp = mem.NewAddressSpace("nxp")
@@ -149,7 +149,7 @@ func TestDMASteadyStateZeroAllocs(t *testing.T) {
 		env.SpawnDaemon("driver", func(p *sim.Proc) {
 			for {
 				for i := 0; i < burst; i++ {
-					eng.SubmitFrom(p, Request{SrcSpace: host, Src: 0x100, DstSpace: nxp, Dst: 0x8000_0200,
+					eng.Submit(Request{SrcSpace: host, Src: 0x100, DstSpace: nxp, Dst: 0x8000_0200,
 						Size: 64, Tag: "desc", OnDone: onDone})
 				}
 				p.Sleep(period)

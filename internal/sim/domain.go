@@ -29,8 +29,9 @@ package sim
 //   - A process is *tagged* while it executes a compute window
 //     (Proc.BeginCompute / Proc.EndCompute — the cpu package brackets
 //     native calls with these). A tagged process belongs to a domain
-//     (1+board index); everything else — host cores, DMA engines, timers,
-//     the kernel — is untagged and always runs sequentially.
+//     (1+board index); everything else — host cores, the kernel, and the
+//     timers that drive the DMA engines and MSIs — is untagged and always
+//     runs sequentially.
 //   - When the event loop pops a runnable tagged process, it may open a
 //     window for it (openWindow): the process gets a private clock (pNow)
 //     and a horizon from one scan of the queue, and runs ahead alone, on
@@ -109,12 +110,13 @@ package sim
 // engine's memory stays flat for the process's life.
 
 // EngineStats reports the event engine's bookkeeping: the run-ahead
-// engine's window counts and, on either engine, the baton's handoffs. These are plain fields, deliberately NOT registry metrics: the
-// metrics snapshot is part of the byte-identical artifact contract, and
-// registering engine counters (even zero-valued ones — the registry prints
-// every registered name) would make a fast run's metrics differ from a
-// reference run's. Consumers that want them (benchmarks, tests, docs
-// examples) read them through Env.EngineStats instead.
+// engine's window counts and, on either engine, the baton's handoffs and
+// the timers fired. These are plain fields, deliberately NOT registry
+// metrics: the metrics snapshot is part of the byte-identical artifact
+// contract, and registering engine counters (even zero-valued ones — the
+// registry prints every registered name) would make a fast run's metrics
+// differ from a reference run's. Consumers that want them (benchmarks,
+// tests, docs examples) read them through Env.EngineStats instead.
 type EngineStats struct {
 	Enabled      bool     // the engine may open run-ahead windows
 	Domains      int      // number of compute domains (boards) configured
@@ -128,14 +130,18 @@ type EngineStats struct {
 	// (window entries included), or the baton returned to Run's goroutine.
 	// A process that resumes itself costs none.
 	Handoffs uint64
+	// Timers counts timer callbacks run: AfterFunc and Arm expiries, on
+	// whichever coroutine held the baton. A stopped timer's entry is
+	// skipped and not counted.
+	Timers uint64
 }
 
 // trajCap is the fixed capacity of a trajectory (see "Trajectory bound"
 // above).
 const trajCap = 1024
 
-// EngineStats returns the current engine statistics. All but Handoffs are
-// zero when run-ahead was never armed.
+// EngineStats returns the current engine statistics. All but Handoffs and
+// Timers are zero when run-ahead was never armed.
 func (e *Env) EngineStats() EngineStats {
 	return EngineStats{
 		Enabled:      e.runAhead,
@@ -145,6 +151,7 @@ func (e *Env) EngineStats() EngineStats {
 		HorizonWaits: e.statHorizonWaits,
 		ParkedEmits:  e.statParkedEmits,
 		Handoffs:     e.statHandoffs,
+		Timers:       e.statTimers,
 	}
 }
 

@@ -58,6 +58,7 @@ type Env struct {
 	closed  bool  // Close has run: a ceding process unwinds instead
 
 	statHandoffs uint64 // resumptions and returns to Run (see EngineStats.Handoffs)
+	statTimers   uint64 // timer callbacks run (see EngineStats.Timers)
 
 	// timers is the unused tail of the chunk AfterFunc hands its Timers
 	// out of, so arming a timer allocates one chunk per timerChunk timers.
@@ -224,7 +225,7 @@ func (e *Env) Spawn(name string, body func(*Proc)) *Proc {
 	return p
 }
 
-// SpawnDaemon registers a service process (device engine, scheduler loop)
+// SpawnDaemon registers a service process (a scheduler loop, say)
 // that is expected to idle forever waiting for work. Daemons are excluded
 // from Deadlocked reports.
 func (e *Env) SpawnDaemon(name string, body func(*Proc)) *Proc {
@@ -263,11 +264,12 @@ func (e *Env) next() *Proc {
 		ev := e.queue.Pop()
 		switch {
 		case ev.timer != nil:
-			if t := ev.timer; !t.stopped {
+			t := ev.timer
+			t.queued = false
+			if fn := t.fn; fn != nil {
 				e.now = ev.at
-				t.fired = true
-				fn := t.fn
 				t.fn = nil
+				e.statTimers++
 				fn()
 			}
 		case ev.phantom:
@@ -456,26 +458,27 @@ func (e *Env) drive() {
 	}
 }
 
-// Timer is a pending AfterFunc callback. Stop cancels it; a stopped timer
-// is skipped by the event loop without advancing the virtual clock.
+// Timer is a pending AfterFunc or Arm callback. Stop cancels it; a
+// stopped timer is skipped by the event loop without advancing the
+// virtual clock.
 //
-// Timers are carved out of chunks of timerChunk, so a chunk stays live as
-// long as any one of its timers is referenced: by the queue while pending,
-// or by whoever kept the *Timer. A timer lets go of its callback once it
-// fires or stops, so a retained chunk keeps no callback's captures alive.
+// AfterFunc carves its Timers out of chunks of timerChunk, so a chunk
+// stays live as long as any one of its timers is referenced: by the queue
+// while pending, or by whoever kept the *Timer. A timer lets go of its
+// callback once it fires or stops, so a retained chunk keeps no
+// callback's captures alive. A model that fires a timer over and over
+// owns one and re-arms it with Arm, which allocates nothing.
 type Timer struct {
-	fn      func()
-	stopped bool
-	fired   bool
+	fn     func() // the pending callback; nil once fired or stopped
+	queued bool   // an entry for this timer is in the queue
 }
 
 // Stop cancels the timer, reporting whether it was still pending. Stopping
 // an already-fired or already-stopped timer is a no-op returning false.
 func (t *Timer) Stop() bool {
-	if t.fired || t.stopped {
+	if t.fn == nil {
 		return false
 	}
-	t.stopped = true
 	t.fn = nil
 	return true
 }
@@ -488,18 +491,29 @@ const timerChunk = 64
 // schedule processes, or Spawn, but has no process of its own and must not
 // sleep). The returned Timer cancels the callback via Stop.
 func (e *Env) AfterFunc(d Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
 	if len(e.timers) == 0 {
 		e.timers = make([]Timer, timerChunk)
 	}
 	t := &e.timers[0]
 	e.timers = e.timers[1:]
-	t.fn = fn
+	e.Arm(t, d, fn)
+	return t
+}
+
+// Arm schedules fn to run once on t, d from now, as AfterFunc does on a
+// Timer of its own. t must have no entry left in the queue: Arm panics on
+// a pending timer, and on one stopped before its expiry came up, whose
+// stale entry would otherwise run the new callback early.
+func (e *Env) Arm(t *Timer, d Duration, fn func()) {
+	if t.queued {
+		panic("sim: Arm on a timer that is still queued")
+	}
+	if d < 0 {
+		d = 0
+	}
+	t.fn, t.queued = fn, true
 	e.seq++
 	e.queue.Push(event{at: e.now.Add(d), seq: e.seq, timer: t})
-	return t
 }
 
 // Deadlocked reports the processes that are still blocked after Run

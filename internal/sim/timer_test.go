@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -59,6 +60,104 @@ func TestStopAfterFireReturnsFalse(t *testing.T) {
 	env.Run()
 	if tm.Stop() {
 		t.Fatal("Stop() after fire = true, want false")
+	}
+}
+
+// A caller-owned timer re-armed after it fired takes a fresh sequence
+// number, so it orders with AfterFunc timers by (time, seq) exactly as a
+// new AfterFunc timer would.
+func TestArmRefiresInTimeSeqOrder(t *testing.T) {
+	env := NewEnv()
+	var tm Timer
+	var got []string
+	note := func(what string) func() {
+		return func() { got = append(got, fmt.Sprintf("%s@%d", what, env.Now())) }
+	}
+	first := true
+	var fn func()
+	fn = func() {
+		note("arm")()
+		if first {
+			first = false
+			env.Arm(&tm, 10, fn) // ties af@20, armed before it fired
+		}
+	}
+	env.Arm(&tm, 10, fn)
+	env.AfterFunc(10, note("af")) // same instant, later seq
+	env.AfterFunc(20, note("af"))
+	env.AfterFunc(25, note("af"))
+	env.Run()
+	want := []string{"arm@10", "af@10", "af@20", "arm@20", "af@25"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fire order = %v, want %v", got, want)
+	}
+}
+
+// Arm refuses a timer that still has a queue entry, pending or stopped:
+// a second entry would run the new callback at the old entry's time.
+func TestArmQueuedTimerPanics(t *testing.T) {
+	for _, stop := range []bool{false, true} {
+		env := NewEnv()
+		var tm Timer
+		env.Arm(&tm, 10, func() {})
+		if stop {
+			tm.Stop()
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("stopped=%v: Arm on a queued timer did not panic", stop)
+				}
+			}()
+			env.Arm(&tm, 20, func() {})
+		}()
+	}
+}
+
+// Stop cancels an armed caller-owned timer as it does an AfterFunc one,
+// and the timer can be armed again once its stale entry has drained.
+func TestStopArmedTimer(t *testing.T) {
+	env := NewEnv()
+	var tm Timer
+	fired := 0
+	fn := func() { fired++ }
+	env.Arm(&tm, 1_000, fn)
+	env.AfterFunc(10, func() {
+		if !tm.Stop() {
+			t.Error("Stop() = false, want true for an armed timer")
+		}
+	})
+	if end := env.Run(); fired != 0 || end != 10 {
+		t.Fatalf("stopped timer: fired %d times, run ended at %d; want 0 and 10", fired, end)
+	}
+	if tm.Stop() {
+		t.Fatal("second Stop() = true, want false")
+	}
+	env.Arm(&tm, 5, fn)
+	if end := env.Run(); fired != 1 || end != 15 {
+		t.Fatalf("re-armed timer: fired %d times, run ended at %d; want 1 and 15", fired, end)
+	}
+}
+
+// Re-arming an owned timer allocates nothing, where AfterFunc takes a
+// slot of a timer chunk each time.
+func TestArmAllocatesNothing(t *testing.T) {
+	env := NewEnv()
+	var tm Timer
+	n := 0
+	fn := func() { n++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		env.Arm(&tm, Nanosecond, fn)
+		env.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per Arm and fire, want 0", allocs)
+	}
+	if n != 101 {
+		t.Errorf("timer fired %d times, want 101", n)
+	}
+	if got := env.EngineStats().Timers; got != 101 {
+		t.Errorf("EngineStats.Timers = %d, want 101", got)
 	}
 }
 

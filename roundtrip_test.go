@@ -6,6 +6,7 @@ import (
 
 	"flick"
 	"flick/internal/core"
+	"flick/internal/sim"
 )
 
 // roundTripSource makes one kind of Flick round trip per loop iteration,
@@ -103,23 +104,58 @@ func BenchmarkFlickRoundTrip(b *testing.B) {
 // either direction, by difference: a 2,000-call run minus a 1,000-call
 // run, so the machine's build and the warm-up cancel. Like
 // testing.AllocsPerRun, the average is taken in whole allocations, which
-// drops the MSI timers' share of a 64-timer chunk, all that is left.
+// drops the MSI timers' share of a 64-timer chunk, all that is left. The
+// bytes are bounded too, since a few timers armed per call from the chunk
+// add garbage that the whole-allocation count rounds away.
 func TestRoundTripAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds four machines")
 	}
-	mallocs := func(calls int, dir uint64) uint64 {
+	const maxBytes = 32
+	alloced := func(calls int, dir uint64) (mallocs, bytes uint64) {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		sys := roundTripSystem(t)
 		runRoundTrips(t, sys, calls, dir)
 		sys.Close()
 		runtime.ReadMemStats(&m1)
-		return m1.Mallocs - m0.Mallocs
+		return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 	}
 	for _, d := range roundTripDirs {
-		if per := (mallocs(2000, d.dir) - mallocs(1000, d.dir)) / 1000; per > 0 {
+		m2, b2 := alloced(2000, d.dir)
+		m1, b1 := alloced(1000, d.dir)
+		if per := (m2 - m1) / 1000; per > 0 {
 			t.Errorf("%s: %d allocations per round trip, want 0", d.name, per)
+		}
+		if per := (b2 - b1) / 1000; per > maxBytes {
+			t.Errorf("%s: %d bytes allocated per round trip, want at most %d", d.name, per, maxBytes)
+		}
+	}
+}
+
+// TestRoundTripHandoffs pins the event engine's work per warmed round trip
+// in each direction, by the same difference as TestRoundTripAllocs. The
+// crossing makes 2 baton handoffs, one to the core that runs the callee
+// and one back to the caller's core, and runs 5 timer callbacks: the
+// start and the completion of each direction's descriptor DMA, and the
+// MSI. The DMA engines run on timers, so no handoff resumes one.
+func TestRoundTripHandoffs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds four machines")
+	}
+	stats := func(calls int, dir uint64) sim.EngineStats {
+		sys := roundTripSystem(t)
+		defer sys.Close()
+		runRoundTrips(t, sys, calls, dir)
+		return sys.EngineStats()
+	}
+	for _, d := range roundTripDirs {
+		s2, s1 := stats(2000, d.dir), stats(1000, d.dir)
+		if got := s2.Handoffs - s1.Handoffs; got != 2*1000 {
+			t.Errorf("%s: %d handoffs per 1,000 round trips, want 2,000", d.name, got)
+		}
+		if got := s2.Timers - s1.Timers; got != 5*1000 {
+			t.Errorf("%s: %d timer callbacks per 1,000 round trips, want 5,000", d.name, got)
 		}
 	}
 }
